@@ -3,16 +3,14 @@
 use subvt_exec::Welford;
 use subvt_rng::StdRng;
 
-use subvt_core::experiment::{
-    savings_experiment, savings_experiment_eval, SavingsReport, Scenario,
-};
+use subvt_core::experiment::{savings_experiment, SavingsPlan, SavingsReport, Scenario};
 use subvt_core::study::StudyConfig;
 use subvt_core::transient::{fig6_schedule, run_transient, TransientResult};
 use subvt_dcdc::converter::ConverterParams;
 use subvt_dcdc::filter::ConstantLoad;
 use subvt_device::corner::ProcessCorner;
 use subvt_device::mosfet::Environment;
-use subvt_device::tabulate::{EvalMode, SharedEval};
+use subvt_device::tabulate::EvalMode;
 use subvt_device::technology::Technology;
 use subvt_device::units::Amps;
 use subvt_device::variation::VariationModel;
@@ -80,23 +78,35 @@ pub struct MonteCarloRow {
     pub savings_vs_fixed: f64,
 }
 
+/// The Monte-Carlo study's shared scenario: the worked example with a
+/// nominal die, which each die then varies.
+fn mc_scenario() -> Scenario {
+    Scenario::paper_worked_example().with_actual_env(Environment::nominal())
+}
+
+/// The study's [`SavingsPlan`]: every die shares the design and actual
+/// environments and the workload, so the LUTs, the fixed word and the
+/// sensor calibration happen once per study, before the fan-out.
+fn mc_plan(mode: EvalMode) -> SavingsPlan {
+    SavingsPlan::new(&mc_scenario(), &mode.build(&Technology::st_130nm())).expect("designable")
+}
+
 /// One die's full savings experiment — a pure function of the die
 /// index, its forked stream, and the study's root seed, so it runs on
-/// any worker thread. `eval` carries the device surfaces (analytic or
-/// tabulated).
+/// any worker thread.
 fn mc_die(
+    plan: &SavingsPlan,
     model: &VariationModel,
     die: usize,
     mut die_rng: StdRng,
     seed: u64,
-    eval: &SharedEval,
 ) -> MonteCarloRow {
     let variation = model.sample_die(&mut die_rng);
-    let mut scenario = Scenario::paper_worked_example().with_actual_env(Environment::nominal());
+    let mut scenario = mc_scenario();
     scenario.name = format!("mc-die-{die}");
     scenario.die = variation.mean_gate();
     scenario.seed = seed.wrapping_add(die as u64);
-    let report = savings_experiment_eval(&scenario, eval).expect("designable");
+    let report = plan.report(&scenario);
     MonteCarloRow {
         die,
         corner_units: variation.corner_units(),
@@ -107,16 +117,16 @@ fn mc_die(
 
 /// Monte-Carlo savings rows for a configured study — the builder-first
 /// path. Die count, seed and worker count come from `study`; the
-/// device surfaces are built once (before the fan-out) and shared
-/// read-only by every worker. Rows are bit-identical for any worker
-/// count (and bit-identical to what the removed `savings_monte_carlo_*`
-/// entry points computed).
+/// device surfaces and the study's [`SavingsPlan`] are built once
+/// (before the fan-out) and shared read-only by every worker. Rows are
+/// bit-identical for any worker count (and bit-identical to what the
+/// removed `savings_monte_carlo_*` entry points computed).
 pub fn savings_rows(study: &StudyConfig<'_>, mode: EvalMode) -> Vec<MonteCarloRow> {
-    let eval = mode.build(&Technology::st_130nm());
+    let plan = mc_plan(mode);
     let model = VariationModel::st_130nm();
     let seed = study.seed();
     study.run_dies("mc-die", |die, die_rng| {
-        mc_die(&model, die, die_rng, seed, &eval)
+        mc_die(&plan, &model, die, die_rng, seed)
     })
 }
 
@@ -189,13 +199,13 @@ impl SavingsSummary {
 /// result is bit-identical for any worker count — and to folding the
 /// materialized [`savings_rows`] through the same chunk-ordered merge.
 pub fn savings_summary(study: &StudyConfig<'_>, mode: EvalMode) -> SavingsSummary {
-    let eval = mode.build(&Technology::st_130nm());
+    let plan = mc_plan(mode);
     let model = VariationModel::st_130nm();
     let seed = study.seed();
     study.fold_dies(
         "mc-die",
         SavingsSummary::empty,
-        |acc, die, die_rng| acc.absorb(&mc_die(&model, die, die_rng, seed, &eval)),
+        |acc, die, die_rng| acc.absorb(&mc_die(&plan, &model, die, die_rng, seed)),
         SavingsSummary::merge,
     )
 }
@@ -231,6 +241,46 @@ mod tests {
                 got.savings_vs_fixed.mean().unwrap().to_bits(),
                 reference.savings_vs_fixed.mean().unwrap().to_bits(),
             );
+        }
+    }
+
+    #[test]
+    fn savings_summary_moments_are_pinned_in_bits() {
+        // 32 dies at seed 2026: (mode, savings mean, savings variance).
+        // The die draws, and so the corner moments and the compensation
+        // range, do not depend on the evaluator.
+        let golden = [
+            (
+                EvalMode::Analytic,
+                0x3fe1_c739_1de4_8544,
+                0x3f12_c08e_da5e_d1d5,
+            ),
+            (
+                EvalMode::Tabulated,
+                0x3fe1_c7ea_741b_278c,
+                0x3f12_c276_e948_e253,
+            ),
+        ];
+        for (mode, mean, variance) in golden {
+            for jobs in [1, 2] {
+                let study = StudyConfig::new(32, 2026).exec(ExecConfig::with_jobs(jobs));
+                let s = savings_summary(&study, mode);
+                let bits =
+                    |w: &Welford| (w.mean().unwrap().to_bits(), w.variance().unwrap().to_bits());
+                let tag = format!("{mode:?} jobs={jobs}");
+                assert_eq!(s.dies, 32, "{tag}");
+                assert_eq!(bits(&s.savings_vs_fixed), (mean, variance), "{tag}");
+                assert_eq!(
+                    bits(&s.corner_units),
+                    (0xbfb9_376b_8292_8d38, 0x3fd9_cf08_8fd0_0735),
+                    "{tag}"
+                );
+                assert_eq!(
+                    (s.compensation_sum, s.compensation_min, s.compensation_max),
+                    (-2, -2, 1),
+                    "{tag}"
+                );
+            }
         }
     }
 

@@ -19,10 +19,11 @@ use subvt_dcdc::converter::{ConverterParams, DcDcConverter};
 use subvt_dcdc::filter::ConstantLoad;
 use subvt_dcdc::ideal::IdealConverter;
 use subvt_device::delay::GateMismatch;
+use subvt_device::energy::EnergyBreakdown;
 use subvt_device::mosfet::Environment;
 use subvt_device::tabulate::SharedEval;
 use subvt_device::technology::Technology;
-use subvt_device::units::{Joules, Seconds, Volts};
+use subvt_device::units::{Hertz, Joules, Seconds, Volts};
 use subvt_digital::fifo::Fifo;
 use subvt_digital::lut::VoltageWord;
 use subvt_loads::load::CircuitLoad;
@@ -169,6 +170,36 @@ impl RunSummary {
     }
 }
 
+/// What the load does at one supply voltage: its processing rate and
+/// its energy per operation, `None` below the functional floor.
+#[derive(Debug, Clone, Copy)]
+struct LoadPoint {
+    rate: Option<Hertz>,
+    energy: Option<EnergyBreakdown>,
+}
+
+/// The ideal rail's operating points. Its `vout` is a function of the
+/// output word, so the load and the replica are evaluated once per word
+/// (per band and word for the sensed deviation) at the current
+/// environment, and the entries are reused until the environment moves.
+#[derive(Debug)]
+struct WordTable {
+    /// Indexed by output word.
+    load: Vec<Option<LoadPoint>>,
+    /// Indexed by `band × 64 + output word`, sized on the first sense;
+    /// `Some(None)` records a sense that gave no deviation.
+    deviation: Vec<Option<Option<i16>>>,
+}
+
+impl WordTable {
+    fn new() -> WordTable {
+        WordTable {
+            load: vec![None; 64],
+            deviation: Vec::new(),
+        }
+    }
+}
+
 /// The assembled adaptive controller.
 #[derive(Debug)]
 pub struct AdaptiveController<L: CircuitLoad> {
@@ -185,9 +216,13 @@ pub struct AdaptiveController<L: CircuitLoad> {
     config: ControllerConfig,
     fifo: Fifo<u64>,
     rate: RateController,
-    sensor: VariationSensor,
+    /// The TDC sensor, calibrated on the first sense with the
+    /// evaluator then in effect, or handed in by `with_sensor`.
+    sensor: Option<VariationSensor>,
     compensation: CompensationLoop,
     supply: Supply,
+    /// Per-word operating points; used on the ideal rail only.
+    table: WordTable,
     account: EnergyAccount,
     history: Vec<CycleRecord>,
     cycle: u64,
@@ -223,7 +258,6 @@ impl<L: CircuitLoad> AdaptiveController<L> {
         kind: SupplyKind,
         config: ControllerConfig,
     ) -> AdaptiveController<L> {
-        let sensor = VariationSensor::new(&tech, design_env, config.sensor);
         let supply = match kind {
             SupplyKind::Ideal => Supply::Ideal(IdealConverter::new()),
             SupplyKind::Switched => {
@@ -249,8 +283,9 @@ impl<L: CircuitLoad> AdaptiveController<L> {
             policy,
             config,
             rate,
-            sensor,
+            sensor: None,
             supply,
+            table: WordTable::new(),
             account: EnergyAccount::new(),
             history: Vec::new(),
             cycle: 0,
@@ -270,11 +305,36 @@ impl<L: CircuitLoad> AdaptiveController<L> {
     /// [`AnalyticEval`](subvt_device::tabulate::AnalyticEval) the run
     /// is bit-identical to the default; with a
     /// [`TabulatedEval`](subvt_device::tabulate::TabulatedEval) the
-    /// per-cycle loop stays off the analytic model.
+    /// per-cycle loop stays off the analytic model. Set it before the
+    /// first step: the sensor calibrates on the first sense, with the
+    /// evaluator in effect then.
     pub fn with_eval(mut self, eval: SharedEval) -> AdaptiveController<L> {
-        self.sensor =
-            VariationSensor::with_eval(eval.as_ref(), self.design_env, self.config.sensor);
         self.eval = Some(eval);
+        self
+    }
+
+    /// Hands the controller an already calibrated TDC sensor, so many
+    /// controllers sharing a design environment calibrate once. The
+    /// sensor must have been calibrated with the evaluator this
+    /// controller runs on; the run is then bit-identical to one that
+    /// calibrates its own.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the sensor's design environment or configuration is
+    /// not the controller's.
+    pub fn with_sensor(mut self, sensor: VariationSensor) -> AdaptiveController<L> {
+        assert_eq!(
+            sensor.design_env(),
+            self.design_env,
+            "sensor calibrated at another design environment"
+        );
+        assert_eq!(
+            sensor.config(),
+            self.config.sensor,
+            "sensor calibrated with another configuration"
+        );
+        self.sensor = Some(sensor);
         self
     }
 
@@ -328,6 +388,8 @@ impl<L: CircuitLoad> AdaptiveController<L> {
     /// re-discover the change through the sensor.
     pub fn set_actual_env(&mut self, env: Environment) {
         self.actual_env = env;
+        // Every operating point was priced at the old environment.
+        self.table = WordTable::new();
     }
 
     /// The accumulated duty trim on the switched converter (LSBs).
@@ -422,6 +484,13 @@ impl<L: CircuitLoad> AdaptiveController<L> {
         let converter_loss = self.advance_supply();
         self.account.add_converter(converter_loss);
         let vout = self.vout();
+        // On the ideal rail the output word fixes `vout`, so it keys the
+        // operating-point table; the switched rail's `vout` is continuous
+        // and is evaluated every cycle.
+        let key = match &self.supply {
+            Supply::Ideal(c) => Some(c.word()),
+            Supply::Switched(_) => None,
+        };
 
         // 4. Variation sensing: LUT compensation on the ideal supply;
         //    on the switched supply the same signature drives the duty
@@ -442,7 +511,7 @@ impl<L: CircuitLoad> AdaptiveController<L> {
             // The sensing band is the *uncompensated* word: the target
             // stays "design-corner delay at the designed voltage".
             let base = self.base_word(queue);
-            if let Ok(dev) = self.sense(base, vout) {
+            if let Some(dev) = self.deviation(key, base, vout) {
                 deviation = Some(dev);
                 match &self.supply {
                     Supply::Ideal(_) => {
@@ -476,10 +545,11 @@ impl<L: CircuitLoad> AdaptiveController<L> {
         }
 
         // 5. The load drains the queue as fast as this supply allows.
-        let ops = self.process(vout);
+        let point = self.load_point(key, vout);
+        let ops = self.process(point.rate);
 
         // 6. Energy accounting.
-        self.account_energy(vout, ops);
+        self.account_energy(vout, point.energy, ops);
 
         // 7. End-of-cycle LUT scrub against the golden shadow copy.
         if let Some(golden) = &self.golden {
@@ -508,51 +578,104 @@ impl<L: CircuitLoad> AdaptiveController<L> {
         (shifted - self.rate.compensation()).clamp(0, 63) as VoltageWord
     }
 
-    fn sense(&self, word: VoltageWord, vout: Volts) -> Result<i16, SenseError> {
-        match &self.eval {
-            Some(eval) => self.sensor.sense_with(
-                eval.as_ref(),
-                word,
-                vout,
-                self.actual_env,
-                self.die_mismatch,
-            ),
-            None => self
-                .sensor
-                .sense(&self.tech, word, vout, self.actual_env, self.die_mismatch),
+    /// The deviation sensed in `band` at `vout` (`None` when the sense
+    /// gives none), from the table when the rail has a word key.
+    fn deviation(
+        &mut self,
+        key: Option<VoltageWord>,
+        band: VoltageWord,
+        vout: Volts,
+    ) -> Option<i16> {
+        let slot = key.map(|word| usize::from(band) * 64 + usize::from(word));
+        if let Some(dev) = slot.and_then(|s| self.table.deviation.get(s).copied().flatten()) {
+            return dev;
         }
-    }
-
-    fn sense_fractional(&self, word: VoltageWord, vout: Volts) -> Result<f64, SenseError> {
-        match &self.eval {
-            Some(eval) => self.sensor.sense_fractional_with(
-                eval.as_ref(),
-                word,
-                vout,
-                self.actual_env,
-                self.die_mismatch,
-            ),
-            None => self.sensor.sense_fractional(
-                &self.tech,
-                word,
-                vout,
-                self.actual_env,
-                self.die_mismatch,
-            ),
-        }
-    }
-
-    fn process(&mut self, vout: Volts) -> u32 {
-        let rate = match &self.eval {
-            Some(eval) => {
-                self.load
-                    .max_rate_with(eval.as_ref(), vout, self.actual_env, self.die_mismatch)
+        let dev = self.sense(band, vout).ok();
+        if let Some(s) = slot {
+            if self.table.deviation.is_empty() {
+                self.table.deviation = vec![None; 64 * 64];
             }
-            None => self
-                .load
-                .max_rate(&self.tech, vout, self.actual_env, self.die_mismatch),
+            self.table.deviation[s] = Some(dev);
+        }
+        dev
+    }
+
+    /// Calibrates the TDC sensor at the design environment, with the
+    /// evaluator in effect, unless it already is.
+    fn calibrate(&mut self) {
+        if self.sensor.is_none() {
+            self.sensor = Some(match &self.eval {
+                Some(eval) => {
+                    VariationSensor::with_eval(eval.as_ref(), self.design_env, self.config.sensor)
+                }
+                None => VariationSensor::new(&self.tech, self.design_env, self.config.sensor),
+            });
+        }
+    }
+
+    fn sense(&mut self, word: VoltageWord, vout: Volts) -> Result<i16, SenseError> {
+        self.calibrate();
+        let sensor = self.sensor.as_ref().expect("calibrated above");
+        match &self.eval {
+            Some(eval) => sensor.sense_with(
+                eval.as_ref(),
+                word,
+                vout,
+                self.actual_env,
+                self.die_mismatch,
+            ),
+            None => sensor.sense(&self.tech, word, vout, self.actual_env, self.die_mismatch),
+        }
+    }
+
+    fn sense_fractional(&mut self, word: VoltageWord, vout: Volts) -> Result<f64, SenseError> {
+        self.calibrate();
+        let sensor = self.sensor.as_ref().expect("calibrated above");
+        match &self.eval {
+            Some(eval) => sensor.sense_fractional_with(
+                eval.as_ref(),
+                word,
+                vout,
+                self.actual_env,
+                self.die_mismatch,
+            ),
+            None => {
+                sensor.sense_fractional(&self.tech, word, vout, self.actual_env, self.die_mismatch)
+            }
+        }
+    }
+
+    /// The load's rate and energy at `vout`, from the table when the
+    /// rail has a word key.
+    fn load_point(&mut self, key: Option<VoltageWord>, vout: Volts) -> LoadPoint {
+        if let Some(point) = key.and_then(|word| self.table.load[usize::from(word)]) {
+            return point;
+        }
+        let (rate, energy) = match &self.eval {
+            Some(eval) => (
+                self.load
+                    .max_rate_with(eval.as_ref(), vout, self.actual_env, self.die_mismatch),
+                self.load
+                    .energy_per_op_with(eval.as_ref(), vout, self.actual_env),
+            ),
+            None => (
+                self.load
+                    .max_rate(&self.tech, vout, self.actual_env, self.die_mismatch),
+                self.load.energy_per_op(&self.tech, vout, self.actual_env),
+            ),
         };
-        let Ok(rate) = rate else {
+        let point = LoadPoint {
+            rate: rate.ok(),
+            energy: energy.ok(),
+        };
+        if let Some(word) = key {
+            self.table.load[usize::from(word)] = Some(point);
+        }
+        point
+    }
+
+    fn process(&mut self, rate: Option<Hertz>) -> u32 {
+        let Some(rate) = rate else {
             return 0; // supply below functional floor: the load stalls
         };
         let capacity = rate.value() * self.config.system_cycle.value() * self.config.utilization
@@ -566,14 +689,8 @@ impl<L: CircuitLoad> AdaptiveController<L> {
         done
     }
 
-    fn account_energy(&mut self, vout: Volts, ops: u32) {
-        let e = match &self.eval {
-            Some(eval) => self
-                .load
-                .energy_per_op_with(eval.as_ref(), vout, self.actual_env),
-            None => self.load.energy_per_op(&self.tech, vout, self.actual_env),
-        };
-        let Ok(e) = e else {
+    fn account_energy(&mut self, vout: Volts, energy: Option<EnergyBreakdown>, ops: u32) {
+        let Some(e) = energy else {
             // Below the functional floor the load cannot compute, but
             // its (gated) leakage still flows.
             let profile = self.load.profile();
@@ -678,8 +795,14 @@ impl<L: CircuitLoad> AdaptiveController<L> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::{Arc, Mutex};
     use subvt_device::corner::ProcessCorner;
-    use subvt_device::units::Hertz;
+    use subvt_device::delay::SupplyRangeError;
+    use subvt_device::energy::CircuitProfile;
+    use subvt_device::tabulate::{AnalyticEval, DeviceEval};
+    use subvt_device::technology::GateKind;
     use subvt_loads::ring_oscillator::RingOscillator;
     use subvt_loads::workload::WorkloadPattern;
     use subvt_rng::StdRng;
@@ -692,6 +815,89 @@ mod tests {
             &[(8, Hertz(100e3)), (16, Hertz(1e6)), (32, Hertz(10e6))],
         )
         .expect("designable")
+    }
+
+    /// An [`AnalyticEval`] that counts what a controller asks of it:
+    /// `gate_delay` is the ring's rate (one NAND stage), `energy` its
+    /// energy per operation and `gate_delay_pair` the TDC replica cell,
+    /// in calibration and in sensing.
+    #[derive(Debug)]
+    struct CountingEval {
+        inner: AnalyticEval,
+        rates: AtomicU64,
+        energies: AtomicU64,
+        replicas: AtomicU64,
+        last_rate_env: Mutex<Option<Environment>>,
+    }
+
+    impl CountingEval {
+        /// `(rates, energies, replicas)` so far.
+        fn counts(&self) -> (u64, u64, u64) {
+            (
+                self.rates.load(Ordering::Relaxed),
+                self.energies.load(Ordering::Relaxed),
+                self.replicas.load(Ordering::Relaxed),
+            )
+        }
+    }
+
+    impl DeviceEval for CountingEval {
+        fn technology(&self) -> &Technology {
+            self.inner.technology()
+        }
+
+        fn gate_delay(
+            &self,
+            kind: GateKind,
+            vdd: Volts,
+            env: Environment,
+            mismatch: GateMismatch,
+            fanout: f64,
+        ) -> Result<Seconds, SupplyRangeError> {
+            self.rates.fetch_add(1, Ordering::Relaxed);
+            *self.last_rate_env.lock().unwrap() = Some(env);
+            self.inner.gate_delay(kind, vdd, env, mismatch, fanout)
+        }
+
+        fn energy(
+            &self,
+            profile: &CircuitProfile,
+            vdd: Volts,
+            env: Environment,
+        ) -> Result<EnergyBreakdown, SupplyRangeError> {
+            self.energies.fetch_add(1, Ordering::Relaxed);
+            self.inner.energy(profile, vdd, env)
+        }
+
+        fn gate_delay_pair(
+            &self,
+            kinds: (GateKind, GateKind),
+            vdd: Volts,
+            env: Environment,
+            mismatch: GateMismatch,
+            fanout: f64,
+        ) -> Result<(Seconds, Seconds), SupplyRangeError> {
+            self.replicas.fetch_add(1, Ordering::Relaxed);
+            self.inner
+                .gate_delay_pair(kinds, vdd, env, mismatch, fanout)
+        }
+    }
+
+    /// A [`controller`] running on a fresh [`CountingEval`].
+    fn counted(
+        actual: Environment,
+        policy: SupplyPolicy,
+        kind: SupplyKind,
+    ) -> (Arc<CountingEval>, AdaptiveController<RingOscillator>) {
+        let counter = Arc::new(CountingEval {
+            inner: AnalyticEval::new(&Technology::st_130nm()),
+            rates: AtomicU64::new(0),
+            energies: AtomicU64::new(0),
+            replicas: AtomicU64::new(0),
+            last_rate_env: Mutex::new(None),
+        });
+        let c = controller(actual, policy, kind).with_eval(counter.clone());
+        (counter, c)
     }
 
     fn controller(
@@ -972,8 +1178,7 @@ mod tests {
 
     #[test]
     fn eval_runs_match_the_direct_controller() {
-        use std::sync::Arc;
-        use subvt_device::tabulate::{AnalyticEval, TabulatedEval};
+        use subvt_device::tabulate::TabulatedEval;
         let tech = Technology::st_130nm();
         let run = |c: &mut AdaptiveController<RingOscillator>| {
             let mut wl = WorkloadSource::new(WorkloadPattern::Constant { per_cycle: 1 });
@@ -1091,5 +1296,116 @@ mod tests {
         let next = c.step(0);
         assert_eq!(next.word, settled, "the scrub restored the golden word");
         assert!(c.account().recovery().value() > 0.0, "rewrite was booked");
+    }
+
+    #[test]
+    fn the_ideal_rail_prices_each_output_word_once() {
+        let (counter, mut c) = counted(
+            Environment::at_corner(ProcessCorner::Ss),
+            SupplyPolicy::AdaptiveCompensated,
+            SupplyKind::Ideal,
+        );
+        // Once the slow die has settled, idle cycles revisit one
+        // operating point and evaluate nothing new.
+        for _ in 0..30 {
+            c.step(0);
+        }
+        let settled = counter.counts();
+        for _ in 0..100 {
+            c.step(0);
+        }
+        assert_eq!(counter.counts(), settled, "a settled rail re-evaluated");
+
+        let mut wl = WorkloadSource::new(WorkloadPattern::Burst {
+            busy_rate: 4,
+            busy_cycles: 10,
+            idle_cycles: 30,
+        });
+        c.run(&mut wl, 400, &mut StdRng::seed_from_u64(5));
+        let words: HashSet<VoltageWord> = c.history().iter().map(|r| r.word).collect();
+        assert!(words.len() >= 3, "bursts should move the word: {words:?}");
+        let (rates, energies, _) = counter.counts();
+        assert_eq!(rates, words.len() as u64, "one rate per output word");
+        assert_eq!(energies, words.len() as u64, "one energy per output word");
+    }
+
+    #[test]
+    fn policies_that_never_sense_never_calibrate() {
+        for kind in [SupplyKind::Ideal, SupplyKind::Switched] {
+            for policy in [
+                SupplyPolicy::FixedWord(20),
+                SupplyPolicy::AdaptiveUncompensated,
+            ] {
+                let (counter, mut c) = counted(Environment::nominal(), policy, kind);
+                let mut wl = WorkloadSource::new(WorkloadPattern::Constant { per_cycle: 1 });
+                c.run(&mut wl, 100, &mut StdRng::seed_from_u64(3));
+                let (rates, _, replicas) = counter.counts();
+                assert!(rates > 0, "{policy:?} on {kind:?} ran no load");
+                assert_eq!(replicas, 0, "{policy:?} on {kind:?} touched the sensor");
+            }
+        }
+    }
+
+    #[test]
+    fn a_new_environment_is_evaluated_on_the_next_cycle() {
+        let (counter, mut c) = counted(
+            Environment::nominal(),
+            SupplyPolicy::AdaptiveCompensated,
+            SupplyKind::Ideal,
+        );
+        for _ in 0..20 {
+            c.step(0);
+        }
+        assert_eq!(c.history().last().unwrap().deviation, Some(0));
+        let (rates, energies, replicas) = counter.counts();
+
+        let slow = Environment::at_corner(ProcessCorner::Ss);
+        c.set_actual_env(slow);
+        let next = c.step(0);
+        assert_eq!(
+            counter.counts(),
+            (rates + 1, energies + 1, replicas + 1),
+            "the same word must be priced again after the change"
+        );
+        assert_eq!(*counter.last_rate_env.lock().unwrap(), Some(slow));
+        assert!(
+            next.deviation.unwrap() < 0,
+            "the slow die reads slow at once"
+        );
+    }
+
+    #[test]
+    fn a_handed_in_sensor_runs_bit_identically() {
+        let sensor = VariationSensor::new(
+            &Technology::st_130nm(),
+            Environment::nominal(),
+            SensorConfig::default(),
+        );
+        let ss = Environment::at_corner(ProcessCorner::Ss);
+        let mut own = controller(ss, SupplyPolicy::AdaptiveCompensated, SupplyKind::Ideal);
+        let mut given = controller(ss, SupplyPolicy::AdaptiveCompensated, SupplyKind::Ideal)
+            .with_sensor(sensor);
+        for arrivals in [0, 3, 0, 1, 0, 0, 2, 0, 0, 0] {
+            own.step(arrivals);
+            given.step(arrivals);
+        }
+        assert_eq!(own.history(), given.history());
+        assert_eq!(own.summary(), given.summary());
+    }
+
+    #[test]
+    #[should_panic(expected = "another design environment")]
+    fn a_sensor_from_another_design_environment_is_refused() {
+        let sensor = VariationSensor::new(
+            &Technology::st_130nm(),
+            Environment::at_corner(ProcessCorner::Ss),
+            SensorConfig::default(),
+        );
+        let _ = controller(
+            Environment::nominal(),
+            SupplyPolicy::AdaptiveCompensated,
+            SupplyKind::Ideal,
+        )
+        .with_sensor(sensor);
     }
 }

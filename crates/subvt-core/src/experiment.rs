@@ -15,11 +15,13 @@ use subvt_device::units::Hertz;
 use subvt_digital::lut::VoltageWord;
 use subvt_loads::ring_oscillator::RingOscillator;
 use subvt_loads::workload::{WorkloadPattern, WorkloadSource};
+use subvt_tdc::sensor::VariationSensor;
 
 use crate::controller::{
     AdaptiveController, ControllerConfig, RunSummary, SupplyKind, SupplyPolicy,
 };
 use crate::rate_controller::{DesignError, RateController};
+use crate::yield_study::analytic;
 
 /// A complete experimental scenario.
 #[derive(Debug, Clone, PartialEq)]
@@ -203,34 +205,108 @@ impl SavingsReport {
     }
 }
 
-fn run_policy(scenario: &Scenario, rate: RateController, policy: SupplyPolicy) -> RunSummary {
-    run_policy_impl(scenario, rate, policy, None)
+/// The die-invariant half of a savings study: the designed and oracle
+/// LUTs, the fixed baseline word and the calibrated TDC sensor for one
+/// design environment, actual environment, workload and evaluator.
+/// A Monte-Carlo study builds it once and runs every die through
+/// [`SavingsPlan::report`].
+#[derive(Debug, Clone)]
+pub struct SavingsPlan {
+    eval: SharedEval,
+    design_env: Environment,
+    actual_env: Environment,
+    workload: WorkloadPattern,
+    designed: RateController,
+    oracle: RateController,
+    fixed_word: VoltageWord,
+    sensor: VariationSensor,
 }
 
-fn run_policy_impl(
-    scenario: &Scenario,
-    rate: RateController,
-    policy: SupplyPolicy,
-    eval: Option<SharedEval>,
-) -> RunSummary {
-    let tech = Technology::st_130nm();
-    let mut controller = AdaptiveController::new(
-        tech,
-        RingOscillator::paper_circuit(),
-        rate,
-        scenario.design_env,
-        scenario.actual_env,
-        scenario.die,
-        policy,
-        scenario.supply,
-        scenario.config,
-    );
-    if let Some(eval) = eval {
-        controller = controller.with_eval(eval);
+impl SavingsPlan {
+    /// Designs and calibrates everything `scenario` shares with every
+    /// die of its study, on `eval`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`DesignError`].
+    pub fn new(scenario: &Scenario, eval: &SharedEval) -> Result<SavingsPlan, DesignError> {
+        let ring = RingOscillator::paper_circuit();
+        let design =
+            |env| RateController::design_eval(eval.as_ref(), &ring, env, &standard_band_rates());
+        Ok(SavingsPlan {
+            eval: eval.clone(),
+            design_env: scenario.design_env,
+            actual_env: scenario.actual_env,
+            workload: scenario.workload.clone(),
+            designed: design(scenario.design_env)?,
+            oracle: design(scenario.actual_env)?,
+            fixed_word: fixed_baseline_word_eval(eval, &scenario.workload, 2)?,
+            sensor: VariationSensor::with_eval(
+                eval.as_ref(),
+                scenario.design_env,
+                scenario.config.sensor,
+            ),
+        })
     }
-    let mut workload = WorkloadSource::new(scenario.workload.clone());
-    let mut rng = StdRng::seed_from_u64(scenario.seed);
-    controller.run(&mut workload, scenario.cycles, &mut rng)
+
+    /// Runs the four-way comparison over one die of the plan's study.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `scenario` differs from the plan's in design
+    /// environment, actual environment or workload.
+    pub fn report(&self, scenario: &Scenario) -> SavingsReport {
+        SavingsReport {
+            scenario: scenario.name.clone(),
+            compensated: self.run(scenario, &self.designed, SupplyPolicy::AdaptiveCompensated),
+            uncompensated: self.run(
+                scenario,
+                &self.designed,
+                SupplyPolicy::AdaptiveUncompensated,
+            ),
+            // The LUT is unused under FixedWord.
+            fixed: self.run(
+                scenario,
+                &self.oracle,
+                SupplyPolicy::FixedWord(self.fixed_word),
+            ),
+            fixed_word: self.fixed_word,
+            oracle: self.run(scenario, &self.oracle, SupplyPolicy::AdaptiveUncompensated),
+        }
+    }
+
+    /// Runs `policy` on `lut` over the scenario's die. Sensing policies
+    /// get the plan's calibrated sensor.
+    fn run(&self, scenario: &Scenario, lut: &RateController, policy: SupplyPolicy) -> RunSummary {
+        assert!(
+            scenario.design_env == self.design_env
+                && scenario.actual_env == self.actual_env
+                && scenario.workload == self.workload,
+            "scenario {} is not one of this savings plan's dies",
+            scenario.name
+        );
+        let mut controller = AdaptiveController::new(
+            Technology::st_130nm(),
+            RingOscillator::paper_circuit(),
+            lut.clone(),
+            scenario.design_env,
+            scenario.actual_env,
+            scenario.die,
+            policy,
+            scenario.supply,
+            scenario.config,
+        )
+        .with_eval(self.eval.clone());
+        if matches!(
+            policy,
+            SupplyPolicy::AdaptiveCompensated | SupplyPolicy::AdaptiveDithered
+        ) {
+            controller = controller.with_sensor(self.sensor.clone());
+        }
+        let mut workload = WorkloadSource::new(scenario.workload.clone());
+        let mut rng = StdRng::seed_from_u64(scenario.seed);
+        controller.run(&mut workload, scenario.cycles, &mut rng)
+    }
 }
 
 /// Runs one policy over a scenario (rate controller designed at the
@@ -240,43 +316,22 @@ fn run_policy_impl(
 ///
 /// Propagates [`DesignError`].
 pub fn run_scenario(scenario: &Scenario, policy: SupplyPolicy) -> Result<RunSummary, DesignError> {
-    let tech = Technology::st_130nm();
-    let rate = design_rate_controller(&tech, scenario.design_env)?;
-    Ok(run_policy(scenario, rate, policy))
+    let plan = SavingsPlan::new(scenario, &analytic(&Technology::st_130nm()))?;
+    Ok(plan.run(scenario, &plan.designed, policy))
 }
 
-/// Runs the full four-way comparison over a scenario.
+/// Runs the full four-way comparison over a scenario:
+/// [`savings_experiment_eval`] on the exact analytic model.
 ///
 /// # Errors
 ///
 /// Propagates [`DesignError`].
 pub fn savings_experiment(scenario: &Scenario) -> Result<SavingsReport, DesignError> {
-    let tech = Technology::st_130nm();
-    let designed = design_rate_controller(&tech, scenario.design_env)?;
-    let oracle_rate = design_rate_controller(&tech, scenario.actual_env)?;
-    let fixed_word = fixed_baseline_word(&tech, &scenario.workload, 2)?;
-
-    Ok(SavingsReport {
-        scenario: scenario.name.clone(),
-        compensated: run_policy(
-            scenario,
-            designed.clone(),
-            SupplyPolicy::AdaptiveCompensated,
-        ),
-        uncompensated: run_policy(scenario, designed, SupplyPolicy::AdaptiveUncompensated),
-        fixed: run_policy(
-            scenario,
-            oracle_rate.clone(), // LUT unused under FixedWord
-            SupplyPolicy::FixedWord(fixed_word),
-        ),
-        fixed_word,
-        oracle: run_policy(scenario, oracle_rate, SupplyPolicy::AdaptiveUncompensated),
-    })
+    savings_experiment_eval(scenario, &analytic(&Technology::st_130nm()))
 }
 
 /// [`savings_experiment`] with every controller (design, sensing,
-/// per-cycle physics) running on `eval` — the Monte-Carlo hot path of
-/// `savings_monte_carlo` uses this with a tabulated evaluator.
+/// per-cycle physics) running on `eval`.
 ///
 /// # Errors
 ///
@@ -285,49 +340,7 @@ pub fn savings_experiment_eval(
     scenario: &Scenario,
     eval: &SharedEval,
 ) -> Result<SavingsReport, DesignError> {
-    let ring = RingOscillator::paper_circuit();
-    let designed = RateController::design_eval(
-        eval.as_ref(),
-        &ring,
-        scenario.design_env,
-        &standard_band_rates(),
-    )?;
-    let oracle_rate = RateController::design_eval(
-        eval.as_ref(),
-        &ring,
-        scenario.actual_env,
-        &standard_band_rates(),
-    )?;
-    let fixed_word = fixed_baseline_word_eval(eval, &scenario.workload, 2)?;
-
-    Ok(SavingsReport {
-        scenario: scenario.name.clone(),
-        compensated: run_policy_impl(
-            scenario,
-            designed.clone(),
-            SupplyPolicy::AdaptiveCompensated,
-            Some(eval.clone()),
-        ),
-        uncompensated: run_policy_impl(
-            scenario,
-            designed,
-            SupplyPolicy::AdaptiveUncompensated,
-            Some(eval.clone()),
-        ),
-        fixed: run_policy_impl(
-            scenario,
-            oracle_rate.clone(), // LUT unused under FixedWord
-            SupplyPolicy::FixedWord(fixed_word),
-            Some(eval.clone()),
-        ),
-        fixed_word,
-        oracle: run_policy_impl(
-            scenario,
-            oracle_rate,
-            SupplyPolicy::AdaptiveUncompensated,
-            Some(eval.clone()),
-        ),
-    })
+    Ok(SavingsPlan::new(scenario, eval)?.report(scenario))
 }
 
 #[cfg(test)]
@@ -407,6 +420,41 @@ mod tests {
         assert!(word < 64);
     }
 
+    /// The four policies on direct-model controllers — no evaluator, no
+    /// plan, each controller calibrating its own sensor.
+    fn direct_report(scenario: &Scenario) -> SavingsReport {
+        let tech = Technology::st_130nm();
+        let designed = design_rate_controller(&tech, scenario.design_env).unwrap();
+        let oracle = design_rate_controller(&tech, scenario.actual_env).unwrap();
+        let fixed_word = fixed_baseline_word(&tech, &scenario.workload, 2).unwrap();
+        let run = |lut: &RateController, policy| {
+            AdaptiveController::new(
+                tech.clone(),
+                RingOscillator::paper_circuit(),
+                lut.clone(),
+                scenario.design_env,
+                scenario.actual_env,
+                scenario.die,
+                policy,
+                scenario.supply,
+                scenario.config,
+            )
+            .run(
+                &mut WorkloadSource::new(scenario.workload.clone()),
+                scenario.cycles,
+                &mut StdRng::seed_from_u64(scenario.seed),
+            )
+        };
+        SavingsReport {
+            scenario: scenario.name.clone(),
+            compensated: run(&designed, SupplyPolicy::AdaptiveCompensated),
+            uncompensated: run(&designed, SupplyPolicy::AdaptiveUncompensated),
+            fixed: run(&oracle, SupplyPolicy::FixedWord(fixed_word)),
+            fixed_word,
+            oracle: run(&oracle, SupplyPolicy::AdaptiveUncompensated),
+        }
+    }
+
     #[test]
     fn eval_experiment_reproduces_the_headline_numbers() {
         use std::sync::Arc;
@@ -415,7 +463,16 @@ mod tests {
         let reference = savings_experiment(&scenario).unwrap();
         let tech = Technology::st_130nm();
 
-        // Analytic evaluator: bit-identical report.
+        // Analytic evaluator: bit-identical to direct-model controllers,
+        // on either rail.
+        for supply in [SupplyKind::Ideal, SupplyKind::Switched] {
+            let s = scenario.clone().with_supply(supply);
+            assert_eq!(
+                savings_experiment(&s).unwrap(),
+                direct_report(&s),
+                "{supply:?}"
+            );
+        }
         let analytic: SharedEval = Arc::new(AnalyticEval::new(&tech));
         let via_analytic = savings_experiment_eval(&scenario, &analytic).unwrap();
         assert_eq!(via_analytic, reference);
@@ -434,6 +491,32 @@ mod tests {
             (s_t - s_a).abs() < 0.03,
             "headline savings diverged: {s_t} vs {s_a}"
         );
+    }
+
+    #[test]
+    fn one_plan_serves_every_die_of_its_study() {
+        let base = Scenario::paper_worked_example();
+        let plan = SavingsPlan::new(&base, &analytic(&Technology::st_130nm())).unwrap();
+        let mut die = base.clone();
+        die.name = "shifted-die".into();
+        die.seed = 7;
+        die.die = GateMismatch {
+            nmos_dvth: subvt_device::units::Volts(0.01),
+            pmos_dvth: subvt_device::units::Volts(0.005),
+        };
+        assert_eq!(plan.report(&die), savings_experiment(&die).unwrap());
+        assert_eq!(
+            run_scenario(&die, SupplyPolicy::AdaptiveCompensated).unwrap(),
+            plan.report(&die).compensated
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "not one of this savings plan's dies")]
+    fn a_plan_refuses_a_scenario_it_was_not_built_for() {
+        let base = Scenario::paper_worked_example();
+        let plan = SavingsPlan::new(&base, &analytic(&Technology::st_130nm())).unwrap();
+        let _ = plan.report(&base.with_actual_env(Environment::nominal()));
     }
 
     #[test]

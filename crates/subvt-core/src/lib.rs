@@ -71,8 +71,8 @@ pub use dithering::{compare_dither, DitherComparison, DitherPlan};
 pub use drift::{run_with_drift, DriftResult, DriftSchedule};
 pub use energy_account::EnergyAccount;
 pub use experiment::{
-    design_rate_controller, fixed_baseline_word, run_scenario, savings_experiment, SavingsReport,
-    Scenario,
+    design_rate_controller, fixed_baseline_word, run_scenario, savings_experiment, SavingsPlan,
+    SavingsReport, Scenario,
 };
 pub use fault_study::{FaultDieOutcome, FaultStudySummary};
 pub use idle_policy::{breakeven_retention, compare_idle_policies, IdlePolicyComparison};

@@ -74,6 +74,24 @@ fn the_five_legacy_savings_monte_carlo_entry_points_stay_deleted() {
 }
 
 #[test]
+fn every_savings_run_goes_through_the_plan() {
+    // One runner for the four policies: the per-policy helpers that
+    // built a controller (and calibrated a sensor) per run stay gone.
+    let rel = "crates/subvt-core/src/experiment.rs";
+    let text = source(rel);
+    for name in ["run_policy", "run_policy_impl"] {
+        assert!(
+            !text.contains(&format!("fn {name}(")),
+            "{rel}: `{name}` reappeared — run policies through SavingsPlan"
+        );
+    }
+    assert!(
+        text.contains("pub struct SavingsPlan"),
+        "{rel} lost SavingsPlan"
+    );
+}
+
+#[test]
 fn the_builder_replacement_surface_exists() {
     let text = source("crates/subvt-core/src/study.rs");
     for needle in [
