@@ -478,10 +478,14 @@ impl DieBatch {
     }
 
     /// Phase E (check): the dithered spec check at each die's settled
-    /// voltage. Depends on the corner and the supply.
+    /// voltage. Depends on the corner and the supply. The rate leg
+    /// goes straight to the study evaluator: its key carries the die's
+    /// own (voltage, mismatch), so the memo could only miss. The
+    /// energy leg depends only on the voltage and stays on `cached`.
     pub(crate) fn dither_check(&mut self, ctx: &StudyContext<'_>, cached: &dyn DeviceEval) {
+        let eval = ctx.eval.as_ref();
         for k in 0..self.len() {
-            let (pass, _) = ctx.passes_dithered(cached, self.voltages[k], self.mismatches[k]);
+            let (pass, _) = ctx.passes_dithered(eval, cached, self.voltages[k], self.mismatches[k]);
             self.dithered_pass[k] = pass;
         }
     }

@@ -294,7 +294,7 @@ pub(crate) fn score_faulted_die_with(
     let clean_word = settled_word(cached, &ctx.sensor, ctx.design_word, ctx.env, mismatch);
     let dithered_v =
         settled_voltage_dithered(cached, &ctx.sensor, ctx.design_word, ctx.env, mismatch);
-    let (dithered_passes, _) = ctx.passes_dithered(cached, dithered_v, mismatch);
+    let (dithered_passes, _) = ctx.passes_dithered(cached, cached, dithered_v, mismatch);
 
     let clean = CleanDie {
         corner_units: die.corner_units(),

@@ -403,36 +403,33 @@ impl<'a> StudyContext<'a> {
     /// voltages: on a rippling supply the rate must hold at the trough
     /// while energy is set by the mean. On an ideal rail both are the
     /// same voltage.
+    ///
+    /// The legs take separate evaluators because only the energy leg
+    /// is die-independent: a batch prices it through a shared memo,
+    /// where a rate query — keyed on the die's own mismatch — would
+    /// only miss.
     pub(crate) fn passes_at(
         &self,
-        eval: &dyn DeviceEval,
+        rate_eval: &dyn DeviceEval,
+        energy_eval: &dyn DeviceEval,
         v_rate: Volts,
         v_energy: Volts,
         die: GateMismatch,
     ) -> (bool, Joules) {
         let rate_ok = self
             .load
-            .max_rate_with(eval, v_rate, self.env, die)
+            .max_rate_with(rate_eval, v_rate, self.env, die)
             .map(|r| r.value() >= self.spec.min_rate.value())
             .unwrap_or(false);
         let energy = self
             .load
-            .energy_per_op_with(eval, v_energy, self.env)
+            .energy_per_op_with(energy_eval, v_energy, self.env)
             .map(|e| e.total())
             .unwrap_or(Joules(f64::INFINITY));
         (
             rate_ok && energy.value() <= self.spec.max_energy_per_op.value(),
             energy,
         )
-    }
-
-    pub(crate) fn passes_v(
-        &self,
-        eval: &dyn DeviceEval,
-        v: Volts,
-        die: GateMismatch,
-    ) -> (bool, Joules) {
-        self.passes_at(eval, v, v, die)
     }
 
     pub(crate) fn passes(
@@ -442,10 +439,13 @@ impl<'a> StudyContext<'a> {
         die: GateMismatch,
     ) -> (bool, Joules) {
         match self.supply {
-            SupplySim::Ideal => self.passes_v(eval, word_voltage(word), die),
+            SupplySim::Ideal => {
+                let v = word_voltage(word);
+                self.passes_at(eval, eval, v, v, die)
+            }
             SupplySim::Regulated(model) => {
                 let op = model.point(word);
-                self.passes_at(eval, op.v_min, op.v_mean, die)
+                self.passes_at(eval, eval, op.v_min, op.v_mean, die)
             }
         }
     }
@@ -455,12 +455,13 @@ impl<'a> StudyContext<'a> {
     /// waveform, so it inherits that word's droop and ripple trough.
     pub(crate) fn passes_dithered(
         &self,
-        eval: &dyn DeviceEval,
+        rate_eval: &dyn DeviceEval,
+        energy_eval: &dyn DeviceEval,
         v: Volts,
         die: GateMismatch,
     ) -> (bool, Joules) {
         match self.supply {
-            SupplySim::Ideal => self.passes_v(eval, v, die),
+            SupplySim::Ideal => self.passes_at(rate_eval, energy_eval, v, v, die),
             SupplySim::Regulated(model) => {
                 let lsb = DCDC_LSB.volts();
                 let nearest = ((v.volts() / lsb).round() as i64).clamp(1, 63) as VoltageWord;
@@ -468,7 +469,8 @@ impl<'a> StudyContext<'a> {
                 let droop = op.v_mean.volts() - word_voltage(nearest).volts();
                 let trough = op.v_mean.volts() - op.v_min.volts();
                 let v_mean = Volts(v.volts() + droop);
-                self.passes_at(eval, Volts(v_mean.volts() - trough), v_mean, die)
+                let v_rate = Volts(v_mean.volts() - trough);
+                self.passes_at(rate_eval, energy_eval, v_rate, v_mean, die)
             }
         }
     }
@@ -487,7 +489,7 @@ impl<'a> StudyContext<'a> {
         let (adaptive_passes, adaptive_energy) = self.passes(&cached, adaptive_word, mismatch);
         let dithered_v =
             settled_voltage_dithered(&cached, &self.sensor, self.design_word, self.env, mismatch);
-        let (dithered_passes, _) = self.passes_dithered(&cached, dithered_v, mismatch);
+        let (dithered_passes, _) = self.passes_dithered(&cached, &cached, dithered_v, mismatch);
         DieOutcome {
             corner_units: die.corner_units(),
             fixed_passes,

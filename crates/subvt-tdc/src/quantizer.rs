@@ -59,12 +59,12 @@ impl RefClock {
     pub fn level_at(&self, t: Seconds) -> bool {
         let t = t.value();
         let p = self.period.value();
-        // `rem_euclid` reduces to one (at most) add for |t| < p, which
-        // covers essentially every stage of every sense (the anchor is
-        // a fraction of the period): for 0 ≤ t < p, `t % p == t`
-        // exactly, so `rem_euclid` returns `t`; for −p < t < 0 it
-        // returns exactly `t + p`. Both branches are bit-identical to
-        // the general fmod path they bypass.
+        // `rem_euclid` reduces to one (at most) add for |t| < p: for
+        // 0 ≤ t < p, `t % p == t` exactly, so `rem_euclid` returns `t`;
+        // for −p < t < 0 it returns exactly `t + p`. Both branches are
+        // bit-identical to the general fmod path they bypass, and
+        // `Quantizer::sample`'s closed form is built on these two
+        // predicates — change them together.
         let phase = if (0.0..p).contains(&t) {
             t
         } else if -p < t && t < 0.0 {
@@ -128,28 +128,189 @@ impl Quantizer {
     /// Samples the line given its per-stage delay: stage `i` holds the
     /// waveform value from `i` cell-delays before the sampling instant.
     ///
+    /// Computed in closed form whenever every stage instant lies
+    /// within one period of the edge (bit-identical to stepping
+    /// [`RefClock::level_at`] through the stages, which remains the
+    /// path for wider windows).
+    ///
     /// # Panics
     ///
     /// Panics if `cell_delay` is not positive.
     pub fn sample(&self, cell_delay: Seconds) -> QuantizerWord {
         assert!(cell_delay.value() > 0.0, "cell delay must be positive");
-        let mut bits: u64 = 0;
-        for i in 0..self.stages {
-            let t = Seconds(self.sample_offset.value() - f64::from(i) * cell_delay.value());
-            if self.ref_clk.level_at(t) {
-                bits |= 1 << i;
-            }
-        }
+        let cell = cell_delay.value();
+        let bits = self
+            .sample_closed_form(cell)
+            .unwrap_or_else(|| self.sample_per_stage(cell));
         QuantizerWord::new(self.stages, bits)
     }
+
+    /// Stage `i`'s sampling instant relative to the reference edge —
+    /// the one expression both sampling paths evaluate.
+    fn instant(&self, i: u32, cell: f64) -> f64 {
+        self.sample_offset.value() - f64::from(i) * cell
+    }
+
+    /// The reference sampler: one [`RefClock::level_at`] per stage.
+    fn sample_per_stage(&self, cell: f64) -> u64 {
+        (0..u32::from(self.stages))
+            .filter(|&i| self.ref_clk.level_at(Seconds(self.instant(i, cell))))
+            .fold(0, |bits, i| bits | 1 << i)
+    }
+
+    /// The word from three boundary stages, or `None` when some stage
+    /// instant reaches a full period from the edge.
+    ///
+    /// The instants never increase with `i` (IEEE multiplication and
+    /// subtraction are monotone), and inside `(−period, period)`
+    /// `level_at` is `t < high` for `t ≥ 0` and `t + period < high`
+    /// for `t < 0` — each a monotone test of `t`, and the second never
+    /// true for `t ≥ 0`. So the word is the ones in `[a, z)` and
+    /// `[b, stages)`, with `a`, `z` and `b` the first stages passing
+    /// `t < high`, `t < 0` and `t + period < high`.
+    fn sample_closed_form(&self, cell: f64) -> Option<u64> {
+        let n = u32::from(self.stages);
+        let period = self.ref_clk.period().value();
+        let high = self.ref_clk.high_time().value();
+        // Monotone instants lie inside (−period, period) iff the first
+        // and the last do; NaN instants (an infinite cell) fail here.
+        if !(self.instant(0, cell) < period && self.instant(n - 1, cell) > -period) {
+            return None;
+        }
+        let a = self.first_stage(cell, high, |t| t < high);
+        let z = self.first_stage(cell, 0.0, |t| t < 0.0);
+        let b = self.first_stage(cell, high - period, |t| t + period < high);
+        Some(ones(a, z) | ones(b, n))
+    }
+
+    /// The first stage whose instant passes `pred` (`stages` if none),
+    /// for a `pred` that, once true, stays true down the line. One
+    /// division estimates where the instants cross `crossing`; the
+    /// exact predicate at the estimate and its lower neighbour
+    /// confirms it, and an estimate that rounding put on the wrong
+    /// side falls back to a scan — it can cost time, never bits.
+    fn first_stage(&self, cell: f64, crossing: f64, pred: impl Fn(f64) -> bool) -> u32 {
+        let n = u32::from(self.stages);
+        // `offset − i·cell < crossing` first holds at ⌊x⌋ + 1 in exact
+        // arithmetic; `as` truncates (= floor for x ≥ 0), saturates
+        // and maps NaN to 0, and any x < 0 clamps to stage 0 anyway.
+        let x = (self.sample_offset.value() - crossing) / cell;
+        let i = if x >= 0.0 {
+            (x as u32).saturating_add(1).min(n)
+        } else {
+            0
+        };
+        let passes = |i: u32| pred(self.instant(i, cell));
+        if (i == n || passes(i)) && (i == 0 || !passes(i - 1)) {
+            i
+        } else {
+            (0..n).find(|&i| passes(i)).unwrap_or(n)
+        }
+    }
+}
+
+/// Bits `lo..hi` set (none when `lo ≥ hi`).
+fn ones(lo: u32, hi: u32) -> u64 {
+    let below = |k: u32| 1u64.checked_shl(k).map_or(u64::MAX, |bit| bit - 1);
+    below(hi) & !below(lo)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use subvt_testkit::prelude::*;
 
     fn ns(x: f64) -> Seconds {
         Seconds::from_nanos(x)
+    }
+
+    /// Asserts the closed form agrees with the per-stage oracle, and
+    /// reports whether the closed form (not the fallback) answered.
+    fn check_against_oracle(q: &Quantizer, cell: f64) -> Result<bool, PropError> {
+        let word = q.sample(Seconds(cell));
+        prop_assert_eq!(word.bits(), q.sample_per_stage(cell));
+        Ok(q.sample_closed_form(cell).is_some())
+    }
+
+    properties! {
+        cases = 4096;
+
+        /// Random geometries: any stage count, square and non-square
+        /// clocks, anchors on both sides of `high` and `period`, and
+        /// cells from 10⁻³ to 10³ × `period / stages` — both the
+        /// closed form and the fallback region.
+        fn closed_form_sample_matches_the_per_stage_loop(
+            stages in 1u8..65,
+            log_period in -10.0f64..-5.0,
+            duty in 0.0f64..1.0,
+            square in 0u8..2,
+            offset_periods in 0.0f64..2.5,
+            log_cell in -3.0f64..3.0,
+        ) {
+            let period = 10f64.powf(log_period);
+            let high = period * duty;
+            prop_assume!(square == 1 || (high > 0.0 && high < period));
+            let clk = if square == 1 {
+                RefClock::square(Seconds(period))
+            } else {
+                RefClock::new(Seconds(period), Seconds(high))
+            };
+            let q = Quantizer::new(stages, clk, Seconds(offset_periods * period));
+            let cell = 10f64.powf(log_cell) * period / f64::from(stages);
+            check_against_oracle(&q, cell)?;
+        }
+
+        /// Boundary instants: on a dyadic grid (every sum and product
+        /// exact), stage `k`'s instant lands exactly on `0`, `high`,
+        /// `high − period` or `−period`, or the anchor is nudged a few
+        /// ulps off that landing — where a `<` that should be `≤`, a
+        /// stage off by one, or an estimate that rounding put on the
+        /// wrong side of the boundary would flip a bit.
+        fn closed_form_sample_matches_on_exact_boundaries(
+            stages in 2u8..65,
+            k in 1u32..64,
+            clock_units in (2u32..4096, 1u32..4096),
+            cell_grid in (1u32..1_000_000, 0i32..40),
+            landing_nudge in (0usize..4, -2i32..3),
+        ) {
+            let ((period_units, high_units), (target, nudge)) = (clock_units, landing_nudge);
+            prop_assume!(k < u32::from(stages) && high_units < period_units);
+            let (period, high) = (f64::from(period_units), f64::from(high_units));
+            let cell = f64::from(cell_grid.0) * 2f64.powi(-cell_grid.1);
+            let landing = [0.0, high, high - period, -period][target];
+            let offset = (0..nudge.abs()).fold(landing + f64::from(k) * cell, |o, _| {
+                if nudge > 0 { o.next_up() } else { o.next_down() }
+            });
+            prop_assume!(offset >= 0.0);
+            let q = Quantizer::new(
+                stages,
+                RefClock::new(Seconds(period), Seconds(high)),
+                Seconds(offset),
+            );
+            if nudge == 0 {
+                prop_assert_eq!(q.instant(k, cell), landing);
+            }
+            check_against_oracle(&q, cell)?;
+        }
+    }
+
+    #[test]
+    fn closed_form_covers_the_calibrated_sensor_geometry() {
+        // The sensor's bands: a 64-stage line on a square clock of
+        // `period_stages` cells, anchored `anchor_stages` cells in,
+        // read at cells around the calibrated one. Every such read
+        // must stay on the closed form (the fast path the fleet
+        // relies on) and agree with the oracle.
+        let period = 256.0;
+        let q = Quantizer::new(64, RefClock::square(Seconds(period)), Seconds(31.5));
+        for i in 0..=400 {
+            let cell = 0.5 + f64::from(i) * 0.005;
+            assert_eq!(check_against_oracle(&q, cell), Ok(true), "cell {cell}");
+        }
+        // The paper's 0.6 V double latch: the window outgrows the
+        // period, so the fallback answers (and must equal the loop).
+        let q = Quantizer::new(64, RefClock::paper_14ns(), ns(30.0));
+        assert_eq!(check_against_oracle(&q, 0.442e-9), Ok(false));
     }
 
     #[test]
