@@ -14,55 +14,48 @@
 //! Bit-identity contract: for every die the batched path performs the
 //! *same arithmetic on the same inputs* as the scalar path — lanes are
 //! pure-function hoists (pinned in `subvt-device`), the shared
-//! [`CachedEval`] is pure memoization, and outcomes are handed to the
-//! caller in die order — so any sub-batch size, including the ragged
-//! final sub-batch, reproduces the scalar study bit-for-bit. The
-//! property suite in `tests/batch_equivalence.rs` pins this.
+//! [`subvt_device::tabulate::CachedEval`] is pure memoization, and
+//! outcomes are handed to the caller in die order — so any sub-batch
+//! size, including the ragged final sub-batch, reproduces the scalar
+//! study bit-for-bit. The property suite in
+//! `tests/batch_equivalence.rs` pins this.
 
-use std::borrow::Cow;
 use std::fmt::Write as _;
 use std::ops::Range;
-use std::time::Instant;
 
 use subvt_device::delay::GateMismatch;
-use subvt_device::tabulate::{CachedEval, DeviceEval};
+use subvt_device::tabulate::DeviceEval;
 use subvt_device::units::{Joules, Seconds, Volts};
 use subvt_digital::lut::VoltageWord;
 use subvt_exec::chunk_len;
-use subvt_faults::FaultPlan;
 use subvt_rng::{Jump, Rng, StdRng};
 use subvt_tdc::sensor::{word_voltage, SenseError};
 
-use crate::fault_study::{score_faulted_die_with, FaultDieOutcome};
-use crate::profile::{record_phase, record_sub_batch, Phase};
 use crate::yield_study::{DieOutcome, StudyContext, SupplySim};
 
 /// The per-die seed stream in `O(chunks)` memory.
 ///
-/// The scalar path materializes one forked seed per die
+/// The scalar oracle materializes one forked seed per die
 /// (`die_seeds`), which is an `O(dies)` vector — 80 MB for a 10⁷-die
 /// fleet. The parent generator only ever advances one draw per die,
 /// though, so snapshotting its 32-byte state at every chunk boundary
 /// is enough: a worker clones its chunk's snapshot and re-derives the
-/// chunk's seeds locally, bit-identical to the scalar stream. The
-/// `Flat` arm keeps the materialized form for caller-owned generators
-/// (`run_*_with_rng`), whose concrete type cannot be snapshotted.
-pub(crate) enum ChunkSeeds {
-    /// Parent-state snapshot per chunk boundary (seeded studies).
-    Snapshots {
-        /// The parent's state at the start of each chunk.
-        states: Vec<StdRng>,
-        /// The chunk length the snapshots were taken at.
-        chunk: usize,
-    },
-    /// The materialized per-die stream (external-generator studies).
-    Flat(Vec<u64>),
+/// chunk's seeds locally, bit-identical to the serial
+/// `fork_seed("{label}-{i}")` stream.
+pub(crate) struct ChunkSeeds<'l> {
+    /// The fork label stem: die `i` forks `"{label}-{i}"`.
+    label: &'l str,
+    /// The parent's state at the start of each chunk.
+    states: Vec<StdRng>,
+    /// The chunk length the snapshots were taken at.
+    chunk: usize,
 }
 
-impl ChunkSeeds {
-    /// Snapshots the seed stream of `StdRng::seed_from_u64(seed)` at
-    /// every [`chunk_len`] boundary of a `dies`-sized population.
-    pub(crate) fn from_seed(seed: u64, dies: usize) -> ChunkSeeds {
+impl<'l> ChunkSeeds<'l> {
+    /// Snapshots the `"{label}-{i}"` seed stream of
+    /// `StdRng::seed_from_u64(seed)` at every [`chunk_len`] boundary of
+    /// a `dies`-sized population.
+    pub(crate) fn new(seed: u64, dies: usize, label: &'l str) -> ChunkSeeds<'l> {
         let chunk = chunk_len(dies);
         let mut parent = StdRng::seed_from_u64(seed);
         let mut states = Vec::with_capacity(dies.div_ceil(chunk));
@@ -78,33 +71,28 @@ impl ChunkSeeds {
             states.push(parent.clone());
             jump.apply(&mut parent);
         }
-        ChunkSeeds::Snapshots { states, chunk }
+        ChunkSeeds {
+            label,
+            states,
+            chunk,
+        }
     }
 
-    /// The seeds of one chunk-aligned `range` of dies. `Snapshots`
-    /// re-derives them from the boundary state (a small, transient
-    /// per-worker vector); `Flat` borrows.
-    pub(crate) fn for_range(&self, range: Range<usize>) -> Cow<'_, [u64]> {
-        match self {
-            ChunkSeeds::Flat(seeds) => Cow::Borrowed(&seeds[range]),
-            ChunkSeeds::Snapshots { states, chunk } => {
-                debug_assert_eq!(range.start % chunk, 0, "range must be chunk-aligned");
-                let mut rng = states[range.start / chunk].clone();
-                // One reused label buffer instead of a heap allocation
-                // per die — the label bytes (and so the seeds) are
-                // unchanged.
-                let mut label = String::with_capacity(24);
-                Cow::Owned(
-                    range
-                        .map(|i| {
-                            label.clear();
-                            write!(label, "die-{i}").expect("in-memory write");
-                            rng.fork_seed(&label)
-                        })
-                        .collect(),
-                )
-            }
-        }
+    /// The seeds of one chunk-aligned `range` of dies, re-derived from
+    /// the boundary state (a small, transient per-worker vector).
+    pub(crate) fn for_range(&self, range: Range<usize>) -> Vec<u64> {
+        debug_assert_eq!(range.start % self.chunk, 0, "range must be chunk-aligned");
+        let mut rng = self.states[range.start / self.chunk].clone();
+        // One reused label buffer instead of a heap allocation per die
+        // — the label bytes (and so the seeds) are unchanged.
+        let mut label = String::with_capacity(self.label.len() + 21);
+        range
+            .map(|i| {
+                label.clear();
+                write!(label, "{}-{i}", self.label).expect("in-memory write");
+                rng.fork_seed(&label)
+            })
+            .collect()
     }
 }
 
@@ -165,12 +153,11 @@ fn lane_passes(
 /// bounded by the sub-batch size, so a million-die study's working set
 /// stays `O(jobs × batch)`, never `O(dies)`.
 ///
-/// The phases are individually callable so the matrix path
+/// The phases are individually callable so the engine
 /// ([`crate::matrix`]) can run the shared ones (draw, word settle,
 /// dither walk) once per corner group and the supply-dependent tails
 /// (fixed lane, adaptive lanes, dithered check) once per cell group,
-/// against the same lanes. [`DieBatch::score`] composes them in the
-/// original order for the single-cell path.
+/// against the same lanes.
 pub(crate) struct DieBatch {
     corner_units: Vec<f64>,
     mismatches: Vec<GateMismatch>,
@@ -240,40 +227,13 @@ impl DieBatch {
         self.dithered_pass.resize(n, false);
     }
 
-    /// Scores the dies of `seeds` through the phased SoA pipeline,
-    /// sharing `cached` (pure memoization) across the sub-batch.
-    fn score(&mut self, ctx: &StudyContext<'_>, cached: &CachedEval<'_>, seeds: &[u64]) {
-        record_sub_batch();
-
-        let t0 = Instant::now();
-        self.draw(ctx, seeds);
-        record_phase(Phase::Draw, t0.elapsed().as_nanos() as u64);
-
-        let t0 = Instant::now();
-        self.fixed_lane(ctx, cached);
-        record_phase(Phase::Fixed, t0.elapsed().as_nanos() as u64);
-
-        let t0 = Instant::now();
-        self.settle_words(ctx);
-        record_phase(Phase::SettleWord, t0.elapsed().as_nanos() as u64);
-
-        let t0 = Instant::now();
-        self.adaptive_lanes(ctx, cached);
-        record_phase(Phase::AdaptiveLanes, t0.elapsed().as_nanos() as u64);
-
-        let t0 = Instant::now();
-        self.dither_walk(ctx);
-        self.dither_check(ctx, cached);
-        record_phase(Phase::Dither, t0.elapsed().as_nanos() as u64);
-    }
-
     /// Dies currently held in the scratch lanes.
     pub(crate) fn len(&self) -> usize {
         self.corner_units.len()
     }
 
-    /// The mismatch lane entry of die `k` (for the matrix fault path's
-    /// clean reference pieces).
+    /// The mismatch lane entry of die `k` (for the fault walk's clean
+    /// reference pieces).
     pub(crate) fn mismatch(&self, k: usize) -> GateMismatch {
         self.mismatches[k]
     }
@@ -283,7 +243,7 @@ impl DieBatch {
     /// the correlation/scale arithmetic runs four dies wide. Resets
     /// every lane, so this must come first. Depends only on the seeds
     /// and the variation model — never the corner or the supply — so
-    /// the matrix path runs it once for all cells.
+    /// the engine runs it once for all cells.
     pub(crate) fn draw(&mut self, ctx: &StudyContext<'_>, seeds: &[u64]) {
         self.reset(seeds.len());
         ctx.variation
@@ -502,63 +462,12 @@ impl DieBatch {
     }
 }
 
-/// Scores one chunk's dies (`seeds`, whose first die has population
-/// index `first_die`) in sub-batches of `batch`, handing each
-/// [`DieOutcome`] to `sink` in die order — the fold kernel of the
-/// batched summary path. Scratch is reused across sub-batches; nothing
-/// scales with the population size.
-pub(crate) fn fold_dies(
-    ctx: &StudyContext<'_>,
-    seeds: &[u64],
-    first_die: usize,
-    batch: usize,
-    mut sink: impl FnMut(usize, &DieOutcome),
-) {
-    let batch = batch.max(1);
-    let mut scratch = DieBatch::with_capacity(batch.min(seeds.len().max(1)));
-    let mut lo = 0;
-    while lo < seeds.len() {
-        let hi = (lo + batch).min(seeds.len());
-        let cached = CachedEval::new(ctx.eval.as_ref());
-        scratch.score(ctx, &cached, &seeds[lo..hi]);
-        for k in 0..(hi - lo) {
-            sink(first_die + lo + k, &scratch.outcome(k));
-        }
-        lo = hi;
-    }
-}
-
-/// The fault-study counterpart of [`fold_dies`]: the faulted
-/// compensation walk is cycle-by-cycle per die, so the batch win is
-/// the shared operating-point memo, not lanes. Outcomes stream to
-/// `sink` in die order.
-pub(crate) fn fold_faulted_dies(
-    ctx: &StudyContext<'_>,
-    plan: FaultPlan,
-    seeds: &[u64],
-    first_die: usize,
-    batch: usize,
-    mut sink: impl FnMut(usize, &FaultDieOutcome),
-) {
-    let batch = batch.max(1);
-    let mut lo = 0;
-    while lo < seeds.len() {
-        let hi = (lo + batch).min(seeds.len());
-        let cached = CachedEval::new(ctx.eval.as_ref());
-        for (k, &seed) in seeds.iter().enumerate().take(hi).skip(lo) {
-            let die = score_faulted_die_with(ctx, plan, StdRng::seed_from_u64(seed), &cached);
-            sink(first_die + k, &die);
-        }
-        lo = hi;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::collections::HashSet;
 
-    /// Serial reference for [`ChunkSeeds::from_seed`]: walk the parent
+    /// Serial reference for [`ChunkSeeds::new`]: walk the parent
     /// die by die with the real `fork_seed` labels, snapshotting its
     /// state at every chunk boundary.
     fn serial_boundary_states(seed: u64, dies: usize, chunk: usize) -> Vec<[u64; 4]> {
@@ -585,13 +494,10 @@ mod tests {
         let chunk = 2048;
         let dies = chunk * CHUNKS;
         assert_eq!(chunk_len(dies), chunk, "fixture: chunk_len saturated");
-        let seeds = ChunkSeeds::from_seed(2009, dies);
-        let ChunkSeeds::Snapshots { states, chunk: c } = &seeds else {
-            panic!("from_seed must snapshot");
-        };
-        assert_eq!((*c, states.len()), (chunk, CHUNKS));
+        let seeds = ChunkSeeds::new(2009, dies, "die");
+        assert_eq!((seeds.chunk, seeds.states.len()), (chunk, CHUNKS));
         let serial = serial_boundary_states(2009, dies, chunk);
-        for (i, (jumped, walked)) in states.iter().zip(&serial).enumerate() {
+        for (i, (jumped, walked)) in seeds.states.iter().zip(&serial).enumerate() {
             assert_eq!(jumped.state(), *walked, "boundary state of chunk {i}");
         }
         // And the re-derived per-die seeds of a far chunk are the
@@ -607,17 +513,15 @@ mod tests {
                 parent.fork_seed(&label)
             })
             .collect();
-        assert_eq!(seeds.for_range(last).as_ref(), &want[..]);
+        assert_eq!(seeds.for_range(last), want);
     }
 
     #[test]
     fn chunk_boundary_states_are_pairwise_distinct() {
         const CHUNKS: usize = 10_000;
         let dies = 2048 * CHUNKS;
-        let ChunkSeeds::Snapshots { states, .. } = ChunkSeeds::from_seed(42, dies) else {
-            panic!("from_seed must snapshot");
-        };
-        let distinct: HashSet<[u64; 4]> = states.iter().map(|s| s.state()).collect();
+        let seeds = ChunkSeeds::new(42, dies, "die");
+        let distinct: HashSet<[u64; 4]> = seeds.states.iter().map(|s| s.state()).collect();
         assert_eq!(
             distinct.len(),
             CHUNKS,

@@ -264,25 +264,15 @@ pub(crate) fn fault_droops(ctx: &StudyContext<'_>) -> (Volts, Volts) {
 
 /// Scores one die with fault injection: the clean reference pieces
 /// (fixed, dithered, clean settled word) plus a cycle-by-cycle faulted
-/// compensation walk. Pure function of the context, plan and stream.
+/// compensation walk. Pure function of the context, plan and stream —
+/// the scalar oracle the batched engine ([`crate::matrix`]) is pinned
+/// against.
 pub(crate) fn score_faulted_die(
     ctx: &StudyContext<'_>,
     plan: FaultPlan,
-    die_rng: StdRng,
+    mut die_rng: StdRng,
 ) -> FaultDieOutcome {
     let cached = CachedEval::new(ctx.eval.as_ref());
-    score_faulted_die_with(ctx, plan, die_rng, &cached)
-}
-
-/// [`score_faulted_die`] through a caller-owned evaluator, so the
-/// batched path can share one operating-point memo across a sub-batch
-/// of dies. Memoization is pure: sharing cannot change a single bit.
-pub(crate) fn score_faulted_die_with(
-    ctx: &StudyContext<'_>,
-    plan: FaultPlan,
-    mut die_rng: StdRng,
-    cached: &dyn DeviceEval,
-) -> FaultDieOutcome {
     let die = ctx.variation.sample_die(&mut die_rng);
     let mismatch = die.mean_gate();
     // Fork the fault stream only after the die sample: a clean die
@@ -290,11 +280,11 @@ pub(crate) fn score_faulted_die_with(
     let fault_rng = die_rng.fork("faults");
 
     // Clean reference pieces, identical to the plain score_die.
-    let (fixed_passes, _) = ctx.passes(cached, ctx.fixed_word, mismatch);
-    let clean_word = settled_word(cached, &ctx.sensor, ctx.design_word, ctx.env, mismatch);
+    let (fixed_passes, _) = ctx.passes(&cached, &cached, ctx.fixed_word, mismatch);
+    let clean_word = settled_word(&cached, ctx.sensor, ctx.design_word, ctx.env, mismatch);
     let dithered_v =
-        settled_voltage_dithered(cached, &ctx.sensor, ctx.design_word, ctx.env, mismatch);
-    let (dithered_passes, _) = ctx.passes_dithered(cached, cached, dithered_v, mismatch);
+        settled_voltage_dithered(&cached, ctx.sensor, ctx.design_word, ctx.env, mismatch);
+    let (dithered_passes, _) = ctx.passes_dithered(&cached, &cached, dithered_v, mismatch);
 
     let clean = CleanDie {
         corner_units: die.corner_units(),
@@ -303,7 +293,28 @@ pub(crate) fn score_faulted_die_with(
         clean_word,
         dithered_passes,
     };
-    faulted_walk(ctx, plan, fault_rng, cached, fault_droops(ctx), &clean)
+    faulted_walk(ctx, plan, fault_rng, &cached, fault_droops(ctx), &clean)
+}
+
+/// The scalar fault-study oracle: [`score_faulted_die`] over the
+/// serial `"die-{i}"` stream, folded in the engine's chunk order —
+/// independent of the batched engine, so the engine's fault cells can
+/// be pinned against it.
+#[cfg(test)]
+pub(crate) fn scalar_fault_summary(
+    cfg: &crate::study::StudyConfig<'_>,
+    plan: FaultPlan,
+) -> FaultStudySummary {
+    let dies = cfg.scalar_dies(|ctx, die_rng| score_faulted_die(ctx, plan, die_rng));
+    let mut summary = subvt_exec::par_fold_chunked(
+        &subvt_exec::ExecConfig::serial(),
+        dies.len(),
+        FaultStudySummary::empty,
+        |acc, i| acc.absorb(&dies[i]),
+        FaultStudySummary::merge,
+    );
+    summary.base.fixed_word = cfg.fixed_word;
+    summary
 }
 
 /// A memoized raw TDC capture (see the capture memo in
@@ -318,17 +329,22 @@ enum Capture {
 
 /// The cycle-by-cycle faulted compensation walk over precomputed clean
 /// reference pieces — the fault-stream-dependent tail of
-/// [`score_faulted_die_with`], with identical arithmetic. `droops` must
-/// be [`fault_droops`] of the same context (hoisted by the matrix
-/// path).
+/// [`score_faulted_die`], with identical arithmetic. `droops` must be
+/// [`fault_droops`] of the same context (hoisted by the matrix path).
+///
+/// `energy_eval` prices only the final energy leg, the one query that
+/// does not depend on the die. The TDC samples and the final rate leg
+/// are keyed on the die's own mismatch, so a shared memo could only
+/// miss: they go straight to the study evaluator.
 pub(crate) fn faulted_walk(
     ctx: &StudyContext<'_>,
     plan: FaultPlan,
     fault_rng: StdRng,
-    cached: &dyn DeviceEval,
+    energy_eval: &dyn DeviceEval,
     droops: (Volts, Volts),
     clean: &CleanDie,
 ) -> FaultDieOutcome {
+    let eval = ctx.eval.as_ref();
     let mismatch = clean.mismatch;
     let mut schedule = FaultSchedule::new(plan, fault_rng);
     let neighbor = ctx.sensor.config().neighbor_range;
@@ -411,7 +427,7 @@ pub(crate) fn faulted_walk(
                 Some(&(_, hit)) => hit,
                 None => {
                     let miss = match ctx.sensor.sample_with(
-                        cached,
+                        eval,
                         ctx.design_word,
                         v_rail,
                         ctx.env,
@@ -489,7 +505,7 @@ pub(crate) fn faulted_walk(
     // scores as the floor word, which cannot meet any rate spec).
     let final_eff = word ^ ref_seu;
     let score_word = final_eff.max(1);
-    let (adaptive_passes, adaptive_energy) = ctx.passes(cached, score_word, mismatch);
+    let (adaptive_passes, adaptive_energy) = ctx.passes(eval, energy_eval, score_word, mismatch);
     let tracking_error_lsb = f64::from((i16::from(final_eff) - i16::from(clean.clean_word)).abs());
 
     FaultDieOutcome {
@@ -515,6 +531,31 @@ mod tests {
     use subvt_exec::ExecConfig;
 
     #[test]
+    fn engine_fault_cells_match_the_scalar_oracle() {
+        // The engine's fault cell (lanes for the clean pieces, a shared
+        // memo, the replayed fault stream) against `score_faulted_die`
+        // die by die, in both mitigation arms, at every batch shape.
+        for mitigation in [true, false] {
+            let plan = FaultPlan::uniform(0.02).with_mitigation(mitigation);
+            let oracle = scalar_fault_summary(&StudyConfig::new(40, 2009), plan).encode_state();
+            for batch in [1usize, 2, 64] {
+                for jobs in [1usize, 2, 7] {
+                    let got = StudyConfig::new(40, 2009)
+                        .faults(plan)
+                        .batch(batch)
+                        .exec(ExecConfig::with_jobs(jobs))
+                        .run_faults();
+                    assert_eq!(
+                        got.encode_state(),
+                        oracle,
+                        "mitigation={mitigation} batch={batch} jobs={jobs}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn zero_rate_plan_is_byte_identical_to_no_plan() {
         // The satellite property: arming a zero-rate plan must not
         // perturb a single bit of the study, in either mitigation arm.
@@ -524,22 +565,6 @@ mod tests {
                 .faults(FaultPlan::uniform(0.0).with_mitigation(mitigation))
                 .run();
             assert_eq!(faulted, plain, "mitigation={mitigation}");
-        }
-    }
-
-    #[test]
-    fn fault_study_is_bit_identical_at_any_job_count() {
-        let reference = StudyConfig::new(80, 11)
-            .faults(FaultPlan::uniform(0.05))
-            .exec(ExecConfig::with_jobs(1))
-            .run_faults();
-        assert_eq!(reference.dies(), 80);
-        for jobs in [2usize, 7] {
-            let parallel = StudyConfig::new(80, 11)
-                .faults(FaultPlan::uniform(0.05))
-                .exec(ExecConfig::with_jobs(jobs))
-                .run_faults();
-            assert_eq!(parallel, reference, "jobs={jobs}");
         }
     }
 

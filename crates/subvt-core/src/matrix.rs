@@ -1,4 +1,4 @@
-//! The fused study-matrix engine: N study cells over one die stream.
+//! The study engine: N study cells fused over one die stream.
 //!
 //! A supply shoot-out, corner sweep or fault-rate ladder runs the
 //! *same* die population through many (supply backend × environment ×
@@ -11,28 +11,35 @@
 //!
 //! * **once per chunk** — the SoA die draw and the per-die fault-stream
 //!   seeds (depend only on the root seed and the variation model);
-//! * **once per environment group** — the adaptive word settle and the
-//!   sub-LSB dither walk (sense the exact candidate voltage, so the
-//!   supply never enters);
+//! * **once per environment group** — the sensor calibration, the
+//!   adaptive word settle and the sub-LSB dither walk (sense the exact
+//!   candidate voltage, so the supply never enters);
 //! * **once per (environment × supply) group** — the fixed lane, the
 //!   adaptive cohort lanes and the dithered spec check;
 //! * **once per fault cell** — only the cycle-by-cycle faulted walk
 //!   and the final scoring, over the shared clean pieces.
 //!
-//! **Byte-identity contract:** every cell's accumulator — the exact
-//! [`CellSummary::encode_state`] bytes — equals running that cell alone
-//! through [`StudyConfig::run_summary`] / [`StudyConfig::run_faults`].
-//! The shared phases are the pure-function hoists the batch-equivalence
-//! suite already pins lane-vs-scalar; the fault-stream seeds are
-//! replayed per die exactly as the standalone path forks them; and no
-//! cell's RNG, sense sequence or fault schedule can observe that other
-//! cells exist. `tests/matrix_equivalence.rs` pins all of it across
-//! worker counts, batch sizes, backends and fault rates.
+//! This is the only batched engine. A standalone
+//! [`StudyConfig::run_summary`] / [`StudyConfig::run_faults`] is a
+//! one-cell run of it; the scalar [`StudyConfig::run`] path is kept
+//! only as the test oracle.
 //!
-//! With [`StudyConfig::checkpoint`] armed, the matrix commits one
-//! version-2 record per chunk — the per-cell states side by side — so a
-//! killed 18-cell run resumes all cells bit-identically from one file,
-//! at any `--jobs`/`--batch` (see `subvt_exec::checkpoint`).
+//! **Byte-identity contract:** every cell's accumulator — the exact
+//! [`CellSummary::encode_state`] bytes — equals folding the scalar
+//! oracle (`score_die` / `score_faulted_die`) over the same die
+//! stream, and so equals running that cell alone. The shared phases
+//! are pure-function hoists the batch-equivalence suite pins
+//! lane-vs-scalar; the fault-stream seeds are replayed per die exactly
+//! as the scalar path forks them; and no cell's RNG, sense sequence or
+//! fault schedule can observe that other cells exist.
+//! `tests/matrix_equivalence.rs` pins all of it across worker counts,
+//! batch sizes, backends and fault rates.
+//!
+//! With [`StudyConfig::checkpoint`] armed, the engine commits one
+//! record per chunk — the per-cell states side by side — so a killed
+//! 18-cell run resumes all cells bit-identically from one file, at any
+//! `--jobs`/`--batch` (see `subvt_exec::checkpoint`). A standalone
+//! study's file is the one-cell case.
 
 use std::time::Instant;
 
@@ -43,15 +50,16 @@ use subvt_digital::lut::VoltageWord;
 use subvt_exec::checkpoint::{
     fingerprint_of, open_matrix_for_resume, CheckpointError, MatrixCheckpointWriter,
 };
-use subvt_exec::{chunk_count, try_par_fold_commit_multi};
+use subvt_exec::{chunk_count, try_par_fold_commit_multi, ExecHooks};
 use subvt_faults::FaultPlan;
 use subvt_rng::{Rng, StdRng};
+use subvt_tdc::sensor::VariationSensor;
 
 use crate::batch::{ChunkSeeds, DieBatch};
 use crate::fault_study::{fault_droops, faulted_walk, CleanDie, FaultStudySummary};
 use crate::profile::{record_phase, record_sub_batch, Phase};
 use crate::study::{StudyConfig, StudyError, SupplyBackendKind};
-use crate::yield_study::{StudyContext, SupplySim, YieldSummary};
+use crate::yield_study::{calibrated_sensor, StudyContext, SupplySim, YieldSummary};
 
 /// One cell of a study matrix: the axes a cell may vary against the
 /// base configuration. Everything else — dies, seed, spec, words,
@@ -73,13 +81,17 @@ pub struct MatrixCell {
     pub faults: Option<FaultPlan>,
 }
 
-impl MatrixCell {
-    fn kind(&self) -> &'static str {
-        match self.faults {
-            None => "summary",
-            Some(_) => "faults",
-        }
-    }
+/// A cell as the engine scores it: the supply model built and its
+/// fingerprint tag resolved. [`StudyMatrix`] resolves its backend
+/// cells; a standalone [`StudyConfig`] terminal resolves itself, so a
+/// caller-built `.supply(SupplySim)` model keeps its `{tag}-model`
+/// identity.
+pub(crate) struct ResolvedCell {
+    pub(crate) sim: SupplySim,
+    /// The supply's checkpoint-fingerprint tag.
+    pub(crate) tag: String,
+    pub(crate) env: Environment,
+    pub(crate) faults: Option<FaultPlan>,
 }
 
 /// One cell's result: the same aggregate the standalone terminal of
@@ -93,14 +105,14 @@ pub enum CellSummary {
 }
 
 impl CellSummary {
-    fn empty_for(cell: &MatrixCell) -> CellSummary {
+    fn empty_for(cell: &ResolvedCell) -> CellSummary {
         match cell.faults {
             None => CellSummary::Yield(YieldSummary::empty()),
             Some(_) => CellSummary::Faults(FaultStudySummary::empty()),
         }
     }
 
-    fn decode_for(cell: &MatrixCell, state: &[u8]) -> Result<CellSummary, CheckpointError> {
+    fn decode_for(cell: &ResolvedCell, state: &[u8]) -> Result<CellSummary, CheckpointError> {
         match cell.faults {
             None => YieldSummary::decode_state(state).map(CellSummary::Yield),
             Some(_) => FaultStudySummary::decode_state(state).map(CellSummary::Faults),
@@ -175,7 +187,7 @@ struct MatrixGroups {
 }
 
 impl MatrixGroups {
-    fn build(cells: &[MatrixCell], sims: &[SupplySim]) -> MatrixGroups {
+    fn build(cells: &[ResolvedCell]) -> MatrixGroups {
         let mut corners: Vec<CornerGroup> = Vec::new();
         for (i, cell) in cells.iter().enumerate() {
             let corner = match corners.iter_mut().find(|g| cells[g.lead].env == cell.env) {
@@ -191,7 +203,7 @@ impl MatrixGroups {
             match corner
                 .supplies
                 .iter_mut()
-                .find(|sg| sims[sg.lead] == sims[i])
+                .find(|sg| cells[sg.lead].sim == cell.sim)
             {
                 Some(sg) => sg.members.push(i),
                 None => corner.supplies.push(SupplyGroup {
@@ -210,7 +222,7 @@ impl MatrixGroups {
 /// fold/merge sequence is exactly the standalone terminal's.
 #[allow(clippy::too_many_arguments)] // crate-internal fold kernel
 fn fold_matrix_chunk(
-    cells: &[MatrixCell],
+    cells: &[ResolvedCell],
     ctxs: &[StudyContext<'_>],
     droops: &[(Volts, Volts)],
     groups: &MatrixGroups,
@@ -228,22 +240,25 @@ fn fold_matrix_chunk(
         let sub = &seeds[lo..hi];
         record_sub_batch();
 
-        // Shared draw: the SoA die lanes once for every cell, plus the
-        // per-die fault-stream seeds. The scalar replay advances each
-        // die stream exactly as the standalone path does (sample, then
-        // fork), so `seed_from_u64(fault_seeds[k])` *is* the stream
-        // `die_rng.fork("faults")` hands the standalone walk.
+        // The SoA die lanes, drawn once for every cell.
         let t0 = Instant::now();
         scratch.draw(&ctxs[0], sub);
+        record_phase(Phase::Draw, t0.elapsed().as_nanos() as u64);
+        // The per-die fault-stream seeds, when a fault cell needs them.
+        // The scalar replay advances each die stream exactly as the
+        // scalar path does (sample, then fork), so
+        // `seed_from_u64(fault_seeds[k])` *is* the stream
+        // `die_rng.fork("faults")` hands the scalar walk.
         if any_faults {
+            let t0 = Instant::now();
             fault_seeds.clear();
             for &seed in sub {
                 let mut die_rng = StdRng::seed_from_u64(seed);
                 ctxs[0].variation.sample_die(&mut die_rng);
                 fault_seeds.push(die_rng.fork_seed("faults"));
             }
+            record_phase(Phase::SharedDraw, t0.elapsed().as_nanos() as u64);
         }
-        record_phase(Phase::SharedDraw, t0.elapsed().as_nanos() as u64);
 
         for corner in &groups.corners {
             let cctx = &ctxs[corner.lead];
@@ -257,9 +272,8 @@ fn fold_matrix_chunk(
             for group in &corner.supplies {
                 let sctx = &ctxs[group.lead];
                 // One operating-point memo per group per sub-batch:
-                // pure memoization shared by the group's lanes and
-                // fault walks, exactly as each standalone sub-batch
-                // owns one.
+                // pure memoization of the die-independent energy legs
+                // the group's lanes and fault walks share.
                 let cached = CachedEval::new(sctx.eval.as_ref());
                 let t0 = Instant::now();
                 scratch.fixed_lane(sctx, &cached);
@@ -380,62 +394,16 @@ impl<'a> StudyMatrix<'a> {
         &self.base
     }
 
-    /// The matrix identity hashed into a version-2 checkpoint
-    /// fingerprint: the cell count plus each cell's *standalone*
-    /// identity string (the exact text that cell's own checkpoint
-    /// would hash), so the per-cell identity cannot drift from the
-    /// single-cell path.
+    /// The matrix identity hashed into the checkpoint fingerprint: the
+    /// cell count plus each cell's identity string, built from the
+    /// one template [`StudyConfig::fingerprint_text`] also uses.
     pub fn fingerprint_text(&self) -> String {
-        let mut text = format!("subvt-matrix-v1 cells={}", self.cells.len());
-        for cell in &self.cells {
-            text.push('\n');
-            text.push_str(&self.base.fingerprint_text_with(
-                cell.kind(),
-                cell.supply.label(),
-                cell.env,
-                cell.faults,
-            ));
-        }
-        text
-    }
-
-    /// Opens (or creates) the configured checkpoint file in the matrix
-    /// (version 2) format, returning the resume point.
-    fn open_checkpoint(
-        &self,
-    ) -> Result<(usize, Vec<CellSummary>, Option<MatrixCheckpointWriter>), StudyError> {
-        let empty = || self.cells.iter().map(CellSummary::empty_for).collect();
-        let Some(path) = &self.base.checkpoint else {
-            return Ok((0, empty(), None));
-        };
-        let fingerprint = fingerprint_of(&self.fingerprint_text());
-        let total = self.base.dies as u64;
-        let cells = u32::try_from(self.cells.len())
-            .map_err(|_| StudyError::Checkpoint(CheckpointError::Decode("too many cells")))?;
-        if !path.exists() {
-            let writer = MatrixCheckpointWriter::create(path, fingerprint, total, cells)?;
-            return Ok((0, empty(), Some(writer)));
-        }
-        let (checkpoint, writer) = open_matrix_for_resume(path)?;
-        checkpoint.verify(fingerprint, total, cells)?;
-        match checkpoint.last {
-            None => Ok((0, empty(), Some(writer))),
-            Some(record) => {
-                let start = usize::try_from(record.chunks_done)
-                    .ok()
-                    .filter(|&c| c <= chunk_count(self.base.dies))
-                    .ok_or(StudyError::Checkpoint(CheckpointError::Decode(
-                        "checkpoint is ahead of the population",
-                    )))?;
-                let accs = self
-                    .cells
-                    .iter()
-                    .zip(&record.states)
-                    .map(|(cell, state)| CellSummary::decode_for(cell, state))
-                    .collect::<Result<Vec<_>, _>>()?;
-                Ok((start, accs, Some(writer)))
-            }
-        }
+        fingerprint_text(
+            &self.base,
+            self.cells
+                .iter()
+                .map(|c| (c.supply.label(), c.env, c.faults)),
+        )
     }
 
     /// Runs every cell over the shared die stream.
@@ -453,98 +421,183 @@ impl<'a> StudyMatrix<'a> {
     }
 
     /// [`StudyMatrix::run`] with cancellation, progress and
-    /// checkpointing surfaced as values. One version-2 checkpoint
-    /// record — every cell's state, side by side — commits per chunk;
-    /// an interrupted run resumes all cells bit-identically from the
-    /// same file at any worker count or batch size.
+    /// checkpointing surfaced as values. One checkpoint record — every
+    /// cell's state, side by side — commits per chunk; an interrupted
+    /// run resumes all cells bit-identically from the same file at any
+    /// worker count or batch size.
     ///
     /// # Errors
     ///
     /// As [`StudyConfig::try_run_summary`].
     pub fn try_run(&self) -> Result<Vec<CellSummary>, StudyError> {
-        if self.cells.is_empty() {
-            return Ok(Vec::new());
-        }
-        let (start_chunk, start, mut writer) = self.open_checkpoint()?;
-        let eval = self.base.resolved_eval();
         // Per-cell supply models, hoisted to one *build* per distinct
         // backend per run — a buck settle table costs milliseconds to
         // integrate, and six buck cells share one snapshot. Clones
         // compare equal, so the group builder still sees the sharing.
-        let mut sims: Vec<SupplySim> = Vec::with_capacity(self.cells.len());
+        let mut resolved: Vec<ResolvedCell> = Vec::with_capacity(self.cells.len());
         for cell in &self.cells {
-            let sim = match self.cells[..sims.len()]
+            let built = resolved
                 .iter()
-                .position(|prior| prior.supply == cell.supply)
-            {
-                Some(i) => sims[i].clone(),
-                None => cell.supply.build_sim(self.base.solver),
-            };
-            sims.push(sim);
+                .zip(&self.cells)
+                .find(|(_, c)| c.supply == cell.supply);
+            resolved.push(ResolvedCell {
+                sim: built.map_or_else(
+                    || cell.supply.build_sim(self.base.solver),
+                    |(r, _)| r.sim.clone(),
+                ),
+                tag: cell.supply.label().to_owned(),
+                env: cell.env,
+                faults: cell.faults,
+            });
         }
-        let ctxs: Vec<StudyContext<'_>> = self
-            .cells
-            .iter()
-            .zip(&sims)
-            .map(|(cell, sim)| {
-                StudyContext::new(
-                    eval.clone(),
-                    self.base.load.as_dyn(),
-                    cell.env,
-                    &self.base.variation,
-                    self.base.spec,
-                    self.base.fixed_word,
-                    self.base.design_word,
-                    sim,
-                )
-            })
-            .collect();
-        // Converter-fault droop figures, hoisted to once per cell.
-        let droops: Vec<(Volts, Volts)> = ctxs.iter().map(fault_droops).collect();
-        let groups = MatrixGroups::build(&self.cells, &sims);
-        let seeds = ChunkSeeds::from_seed(self.base.seed, self.base.dies);
-        let batch = self.base.batch.max(1);
-        let hooks = self.base.hooks();
-        let mut result = try_par_fold_commit_multi(
-            &self.base.exec,
-            self.base.dies,
-            start_chunk,
-            &hooks,
-            self.cells.len(),
-            |cell| CellSummary::empty_for(&self.cells[cell]),
-            start,
-            |accs, range| {
-                let chunk_seeds = seeds.for_range(range);
-                fold_matrix_chunk(
-                    &self.cells,
-                    &ctxs,
-                    &droops,
-                    &groups,
-                    batch,
-                    &chunk_seeds,
-                    accs,
-                );
-            },
-            |_cell, acc, part| acc.merge(part),
-            |chunks_done, accs: &[CellSummary]| match &mut writer {
-                Some(w) => {
-                    let states: Vec<Vec<u8>> = accs.iter().map(CellSummary::encode_state).collect();
-                    w.append(chunks_done as u64, &states)
-                }
-                None => Ok(()),
-            },
-        )
-        .map_err(StudyError::from_fold)?;
-        for acc in &mut result {
-            acc.set_fixed_word(self.base.fixed_word);
-        }
-        Ok(result)
+        run_cells(&self.base, &resolved)
     }
+}
+
+/// The identity text of a run over `cells` — `(supply tag,
+/// environment, fault plan)` per cell — against `base`.
+fn fingerprint_text<'t>(
+    base: &StudyConfig<'_>,
+    cells: impl ExactSizeIterator<Item = (&'t str, Environment, Option<FaultPlan>)>,
+) -> String {
+    let mut text = format!("subvt-matrix-v1 cells={}", cells.len());
+    for (tag, env, faults) in cells {
+        text.push('\n');
+        let kind = if faults.is_some() {
+            "faults"
+        } else {
+            "summary"
+        };
+        text.push_str(&base.fingerprint_text_with(kind, tag, env, faults));
+    }
+    text
+}
+
+/// Opens (or creates) `base`'s checkpoint file for a run over `cells`,
+/// returning the resume point.
+fn open_checkpoint(
+    base: &StudyConfig<'_>,
+    cells: &[ResolvedCell],
+) -> Result<(usize, Vec<CellSummary>, Option<MatrixCheckpointWriter>), StudyError> {
+    let empty = || cells.iter().map(CellSummary::empty_for).collect();
+    let Some(path) = &base.checkpoint else {
+        return Ok((0, empty(), None));
+    };
+    let text = fingerprint_text(
+        base,
+        cells.iter().map(|c| (c.tag.as_str(), c.env, c.faults)),
+    );
+    let fingerprint = fingerprint_of(&text);
+    let total = base.dies as u64;
+    let n_cells = u32::try_from(cells.len())
+        .map_err(|_| StudyError::Checkpoint(CheckpointError::Decode("too many cells")))?;
+    if !path.exists() {
+        let writer = MatrixCheckpointWriter::create(path, fingerprint, total, n_cells)?;
+        return Ok((0, empty(), Some(writer)));
+    }
+    let (checkpoint, writer) = open_matrix_for_resume(path)?;
+    checkpoint.verify(fingerprint, total, n_cells)?;
+    match checkpoint.last {
+        None => Ok((0, empty(), Some(writer))),
+        Some(record) => {
+            let start = usize::try_from(record.chunks_done)
+                .ok()
+                .filter(|&c| c <= chunk_count(base.dies))
+                .ok_or(StudyError::Checkpoint(CheckpointError::Decode(
+                    "checkpoint is ahead of the population",
+                )))?;
+            let accs = cells
+                .iter()
+                .zip(&record.states)
+                .map(|(cell, state)| CellSummary::decode_for(cell, state))
+                .collect::<Result<Vec<_>, _>>()?;
+            Ok((start, accs, Some(writer)))
+        }
+    }
+}
+
+/// The engine: scores `cells` over `base`'s die population in one
+/// fused pass per chunk, committing one checkpoint record per chunk
+/// when `base` arms a checkpoint. Results come back in cell order.
+pub(crate) fn run_cells(
+    base: &StudyConfig<'_>,
+    cells: &[ResolvedCell],
+) -> Result<Vec<CellSummary>, StudyError> {
+    if cells.is_empty() {
+        return Ok(Vec::new());
+    }
+    let (start_chunk, start, mut writer) = open_checkpoint(base, cells)?;
+    let eval = base.resolved_eval();
+    // One sensor calibration per distinct environment: calibration is
+    // a pure function of (evaluator, environment), and every cell of
+    // an environment group senses through the same bands.
+    let mut sensors: Vec<(Environment, VariationSensor)> = Vec::new();
+    for cell in cells {
+        if !sensors.iter().any(|(env, _)| *env == cell.env) {
+            sensors.push((cell.env, calibrated_sensor(&eval, cell.env)));
+        }
+    }
+    let ctxs: Vec<StudyContext<'_>> = cells
+        .iter()
+        .map(|cell| {
+            let (_, sensor) = sensors
+                .iter()
+                .find(|(env, _)| *env == cell.env)
+                .expect("every environment was calibrated");
+            StudyContext::new(
+                eval.clone(),
+                base.load.as_dyn(),
+                cell.env,
+                &base.variation,
+                base.spec,
+                base.fixed_word,
+                base.design_word,
+                sensor,
+                &cell.sim,
+            )
+        })
+        .collect();
+    // Converter-fault droop figures, hoisted to once per cell.
+    let droops: Vec<(Volts, Volts)> = ctxs.iter().map(fault_droops).collect();
+    let groups = MatrixGroups::build(cells);
+    let seeds = ChunkSeeds::new(base.seed, base.dies, "die");
+    let batch = base.batch.max(1);
+    let hooks = ExecHooks {
+        cancel: base.cancel,
+        progress: base.progress,
+    };
+    let mut result = try_par_fold_commit_multi(
+        &base.exec,
+        base.dies,
+        start_chunk,
+        &hooks,
+        cells.len(),
+        |cell| CellSummary::empty_for(&cells[cell]),
+        start,
+        |accs, range| {
+            let chunk_seeds = seeds.for_range(range);
+            fold_matrix_chunk(cells, &ctxs, &droops, &groups, batch, &chunk_seeds, accs);
+        },
+        |_cell, acc, part| acc.merge(part),
+        |chunks_done, accs: &[CellSummary]| match &mut writer {
+            Some(w) => {
+                let states: Vec<Vec<u8>> = accs.iter().map(CellSummary::encode_state).collect();
+                w.append(chunks_done as u64, &states)
+            }
+            None => Ok(()),
+        },
+    )
+    .map_err(StudyError::from_fold)?;
+    for acc in &mut result {
+        acc.set_fixed_word(base.fixed_word);
+    }
+    Ok(result)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault_study::scalar_fault_summary;
     use subvt_exec::ExecConfig;
 
     #[test]
@@ -553,32 +606,29 @@ mod tests {
     }
 
     #[test]
-    fn single_summary_cell_matches_the_standalone_terminal() {
-        let standalone = StudyConfig::new(90, 13)
+    fn single_summary_cell_matches_the_scalar_oracle() {
+        let oracle = StudyConfig::new(90, 13)
             .supply_backend(SupplyBackendKind::Buck)
-            .run_summary();
+            .run()
+            .summarize();
         let fused = StudyMatrix::new(StudyConfig::new(90, 13))
             .cell(SupplyBackendKind::Buck, Environment::nominal(), None)
             .run();
         assert_eq!(
             fused[0].encode_state(),
-            standalone.encode_state(),
-            "byte-identity of a lone cell"
-        );
-        assert_eq!(
-            fused[0].as_yield().unwrap().fixed_word,
-            standalone.fixed_word
+            oracle.encode_state(),
+            "byte-identity of a lone cell (fixed word included)"
         );
     }
 
     #[test]
-    fn single_fault_cell_matches_the_standalone_terminal() {
+    fn single_fault_cell_matches_the_scalar_oracle() {
         let plan = FaultPlan::uniform(0.02);
-        let standalone = StudyConfig::new(90, 13).faults(plan).run_faults();
+        let oracle = scalar_fault_summary(&StudyConfig::new(90, 13), plan);
         let fused = StudyMatrix::new(StudyConfig::new(90, 13))
             .cell(SupplyBackendKind::Ideal, Environment::nominal(), Some(plan))
             .run();
-        assert_eq!(fused[0].encode_state(), standalone.encode_state());
+        assert_eq!(fused[0].encode_state(), oracle.encode_state());
     }
 
     #[test]
@@ -601,16 +651,16 @@ mod tests {
             (SupplyBackendKind::Buck, hot),
             (SupplyBackendKind::Buck, Environment::nominal()),
         ];
-        let matrix = cells.iter().fold(
-            StudyMatrix::new(StudyConfig::new(10, 1)),
-            |m, &(supply, env)| m.cell(supply, env, None),
-        );
-        let sims: Vec<SupplySim> = matrix
-            .cells()
+        let resolved: Vec<ResolvedCell> = cells
             .iter()
-            .map(|c| c.supply.build_sim(Default::default()))
+            .map(|&(supply, env)| ResolvedCell {
+                sim: supply.build_sim(Default::default()),
+                tag: supply.label().to_owned(),
+                env,
+                faults: None,
+            })
             .collect();
-        let groups = MatrixGroups::build(matrix.cells(), &sims);
+        let groups = MatrixGroups::build(&resolved);
         assert_eq!(groups.corners.len(), 2, "two distinct environments");
         let nominal = &groups.corners[0];
         assert_eq!(nominal.supplies.len(), 2, "buck and dldo at nominal");

@@ -1,8 +1,10 @@
 //! Per-phase wall-time accounting for the batched fleet hot path.
 //!
-//! The SoA die-scoring pipeline ([`crate::batch`]) runs five phases
-//! per sub-batch — die draw, fixed-design lane, adaptive word settle,
-//! adaptive cohort lanes, dither settle — and the SIMD work lands
+//! The study engine ([`crate::matrix`], over the SoA scorer in
+//! [`crate::batch`]) runs five phases per sub-batch — die draw,
+//! fixed-design lane, adaptive word settle, adaptive cohort lanes,
+//! dither settle — plus, when a fault cell exists, the fault-stream
+//! seed replay and each fault cell's walk; the SIMD work lands
 //! unevenly across them. These counters attribute the wall time so a
 //! speed-up claim can name the phase it came from, the same way
 //! `subvt-device`'s [`subvt_device::tabulate`] metrics attribute the
@@ -26,15 +28,14 @@ static SHARED_DRAW_NANOS: AtomicU64 = AtomicU64::new(0);
 static FAULT_WALK_NANOS: AtomicU64 = AtomicU64::new(0);
 static SUB_BATCHES: AtomicU64 = AtomicU64::new(0);
 
-/// The phases of the batched scoring pipeline, in execution order.
-/// The first five come from both the single-cell and matrix paths;
-/// the last two exist only on the matrix path
-/// ([`crate::matrix::StudyMatrix`]), which draws the die population
-/// once for *all* cells (`SharedDraw`) and then runs each fault
-/// cell's cycle-by-cycle walk as a per-cell tail (`FaultWalk`).
+/// The phases of the batched scoring pipeline. The first five run on
+/// every study; the last two run only when the study has a fault cell
+/// (a standalone fault study is one): the per-die fault-stream seed
+/// replay every fault cell shares (`SharedDraw`) and each fault cell's
+/// cycle-by-cycle walk (`FaultWalk`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
-    /// Monte-Carlo die draw into the SoA lanes.
+    /// Monte-Carlo die draw into the SoA lanes (once for all cells).
     Draw,
     /// Fixed-design spec lane at the common commanded word.
     Fixed,
@@ -44,10 +45,10 @@ pub enum Phase {
     AdaptiveLanes,
     /// Sub-LSB dither settle and dithered spec check.
     Dither,
-    /// Matrix path: the once-per-chunk die draw (and fault-stream
-    /// seed replay) every cell shares.
+    /// Per-die fault-stream seed replay, shared by every fault cell;
+    /// timed only when a fault cell exists.
     SharedDraw,
-    /// Matrix path: the per-fault-cell cycle-by-cycle walks.
+    /// The per-fault-cell cycle-by-cycle walks.
     FaultWalk,
 }
 
@@ -83,9 +84,9 @@ pub struct PhaseProfile {
     pub adaptive_lane_nanos: u64,
     /// Nanoseconds in the dither settle + dithered spec check.
     pub dither_nanos: u64,
-    /// Nanoseconds in the matrix path's shared die draw (all cells).
+    /// Nanoseconds in the fault-stream seed replay (fault cells only).
     pub shared_draw_nanos: u64,
-    /// Nanoseconds in the matrix path's per-fault-cell walks.
+    /// Nanoseconds in the per-fault-cell walks.
     pub fault_walk_nanos: u64,
     /// Sub-batches scored.
     pub sub_batches: u64,
@@ -153,7 +154,7 @@ impl PhaseProfile {
     }
 
     /// `(label, nanos)` per phase in execution order — the iteration
-    /// shape report printers want. The matrix-only phases come last.
+    /// shape report printers want. The fault-cell phases come last.
     pub fn phases(&self) -> [(&'static str, u64); 7] {
         [
             ("draw", self.draw_nanos),

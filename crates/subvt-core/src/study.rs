@@ -32,23 +32,24 @@ use subvt_device::technology::Technology;
 use subvt_device::units::{Hertz, Joules};
 use subvt_device::variation::VariationModel;
 use subvt_digital::lut::VoltageWord;
-use subvt_exec::checkpoint::{fingerprint_of, open_for_resume, CheckpointError, CheckpointWriter};
+use subvt_exec::checkpoint::CheckpointError;
 use subvt_exec::{
-    chunk_count, par_fold_chunked, par_map_indexed, try_par_fold_commit, CancelToken, ExecConfig,
-    ExecHooks, FoldError, Progress,
+    par_map_indexed, try_par_fold_commit, CancelToken, ExecConfig, ExecHooks, FoldError, Progress,
 };
 use subvt_loads::load::CircuitLoad;
 use subvt_loads::ring_oscillator::RingOscillator;
 use subvt_regulators::{DigitalLdoBackend, DiscreteTimeLinearBackend};
-use subvt_rng::{Rng, StdRng};
+use subvt_rng::StdRng;
 
 pub use subvt_faults::FaultPlan;
 
-use crate::batch::{fold_dies, fold_faulted_dies, ChunkSeeds};
+use crate::batch::ChunkSeeds;
 use crate::controller::SupplyKind;
 use crate::fault_study::{score_faulted_die, FaultStudySummary};
+use crate::matrix::{run_cells, CellSummary, ResolvedCell};
 use crate::yield_study::{
-    analytic, die_seeds, StudyContext, SupplySim, YieldReport, YieldSpec, YieldSummary,
+    analytic, calibrated_sensor, die_seeds, StudyContext, SupplySim, YieldReport, YieldSpec,
+    YieldSummary,
 };
 
 /// The circuit a study exercises: the paper's ring oscillator unless
@@ -413,51 +414,56 @@ impl<'a> StudyConfig<'a> {
         self.eval.clone().unwrap_or_else(|| analytic(&self.tech))
     }
 
-    fn resolved_supply(&self) -> SupplySim {
+    pub(crate) fn resolved_supply(&self) -> SupplySim {
         match &self.supply {
             StudySupply::Backend(kind) => kind.build_sim(self.solver),
             StudySupply::Model(sim) => sim.clone(),
         }
     }
 
-    fn context<'c>(&'c self, eval: &SharedEval, supply: &'c SupplySim) -> StudyContext<'c> {
-        StudyContext::new(
-            eval.clone(),
+    /// Runs the study, materializing every die outcome.
+    ///
+    /// This is the scalar path — one die at a time through
+    /// `score_die` (or `score_faulted_die` with a plan armed) over the
+    /// serial `"die-{i}"` fork stream — and the oracle the batched
+    /// engine behind every other terminal is pinned against.
+    pub fn run(&self) -> YieldReport {
+        let dies = match self.faults {
+            None => self.scalar_dies(|ctx, die_rng| ctx.score_die(die_rng)),
+            Some(plan) => {
+                self.scalar_dies(|ctx, die_rng| score_faulted_die(ctx, plan, die_rng).base)
+            }
+        };
+        YieldReport {
+            dies,
+            fixed_word: self.fixed_word,
+        }
+    }
+
+    /// The scalar oracle's fan-out: `score` applied to each die stream
+    /// of the serial `"die-{i}"` fork sequence, in die order.
+    pub(crate) fn scalar_dies<T: Send>(
+        &self,
+        score: impl Fn(&StudyContext<'_>, StdRng) -> T + Sync,
+    ) -> Vec<T> {
+        let eval = self.resolved_eval();
+        let supply = self.resolved_supply();
+        let sensor = calibrated_sensor(&eval, self.env);
+        let ctx = StudyContext::new(
+            eval,
             self.load.as_dyn(),
             self.env,
             &self.variation,
             self.spec,
             self.fixed_word,
             self.design_word,
-            supply,
-        )
-    }
-
-    /// Runs the study, materializing every die outcome.
-    pub fn run(&self) -> YieldReport {
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        self.run_with_rng(&mut rng)
-    }
-
-    /// [`StudyConfig::run`] drawing die streams from a caller-owned
-    /// generator (the builder's `seed` is ignored).
-    pub fn run_with_rng<R: Rng + ?Sized>(&self, rng: &mut R) -> YieldReport {
-        let eval = self.resolved_eval();
-        let supply = self.resolved_supply();
-        let ctx = self.context(&eval, &supply);
-        let seeds = die_seeds(rng, self.dies);
-        let dies = match self.faults {
-            None => par_map_indexed(&self.exec, self.dies, |i| {
-                ctx.score_die(StdRng::seed_from_u64(seeds[i]))
-            }),
-            Some(plan) => par_map_indexed(&self.exec, self.dies, |i| {
-                score_faulted_die(&ctx, plan, StdRng::seed_from_u64(seeds[i])).base
-            }),
-        };
-        YieldReport {
-            dies,
-            fixed_word: self.fixed_word,
-        }
+            &sensor,
+            &supply,
+        );
+        let seeds = die_seeds(self.seed, self.dies);
+        par_map_indexed(&self.exec, self.dies, |i| {
+            score(&ctx, StdRng::seed_from_u64(seeds[i]))
+        })
     }
 
     /// Runs the study in constant memory (no per-die `Vec`);
@@ -475,45 +481,28 @@ impl<'a> StudyConfig<'a> {
         }
     }
 
-    /// [`StudyConfig::run_summary`] drawing die streams from a
-    /// caller-owned generator (the builder's `seed`, checkpoint and
-    /// hooks are ignored — the external stream has no stable identity
-    /// to resume under).
-    pub fn run_summary_with_rng<R: Rng + ?Sized>(&self, rng: &mut R) -> YieldSummary {
-        let seeds = ChunkSeeds::Flat(die_seeds(rng, self.dies));
-        match self.summary_fold(
-            &seeds,
-            0,
-            YieldSummary::empty(),
-            &ExecHooks::default(),
-            &mut None,
-        ) {
-            Ok(summary) => summary,
-            Err(_) => unreachable!("no cancel token or checkpoint attached"),
-        }
-    }
-
     /// [`StudyConfig::run_summary`] with cancellation, progress and
-    /// checkpointing surfaced as values: scores chunk-by-chunk through
-    /// the batched SoA path, committing one checkpoint record per
-    /// chunk when [`StudyConfig::checkpoint`] is armed. If the file
-    /// already exists, the run *resumes* from its last committed
-    /// record and the final summary is bit-identical to a run that was
-    /// never interrupted — even at a different worker count or batch
-    /// size.
+    /// checkpointing surfaced as values: the study runs as a one-cell
+    /// [`crate::matrix::StudyMatrix`], scored chunk-by-chunk through
+    /// the batched engine, committing one checkpoint record per chunk
+    /// when [`StudyConfig::checkpoint`] is armed. If the file already
+    /// exists, the run *resumes* from its last committed record and
+    /// the final summary is bit-identical to a run that was never
+    /// interrupted — even at a different worker count or batch size.
+    /// With a fault plan armed the cell is a fault cell, and the
+    /// summary is its yield part.
     ///
     /// # Errors
     ///
     /// [`StudyError::Cancelled`] when the armed token fires;
     /// [`StudyError::Checkpoint`] when the checkpoint file cannot be
-    /// created/appended, or an existing one is damaged or belongs to a
-    /// different configuration.
+    /// created/appended, or an existing one is damaged, retired or
+    /// belongs to a different configuration.
     pub fn try_run_summary(&self) -> Result<YieldSummary, StudyError> {
-        let seeds = ChunkSeeds::from_seed(self.seed, self.dies);
-        let (start_chunk, acc, mut writer) =
-            self.open_checkpoint("summary", YieldSummary::empty(), YieldSummary::decode_state)?;
-        self.summary_fold(&seeds, start_chunk, acc, &self.hooks(), &mut writer)
-            .map_err(StudyError::from_fold)
+        Ok(match self.run_as_cell(self.faults)? {
+            CellSummary::Yield(summary) => summary,
+            CellSummary::Faults(summary) => summary.base,
+        })
     }
 
     /// Runs the fault-injection study: the armed plan (or a zero-rate
@@ -532,23 +521,6 @@ impl<'a> StudyConfig<'a> {
         }
     }
 
-    /// [`StudyConfig::run_faults`] drawing die streams from a
-    /// caller-owned generator (the builder's `seed`, checkpoint and
-    /// hooks are ignored).
-    pub fn run_faults_with_rng<R: Rng + ?Sized>(&self, rng: &mut R) -> FaultStudySummary {
-        let seeds = ChunkSeeds::Flat(die_seeds(rng, self.dies));
-        match self.faults_fold(
-            &seeds,
-            0,
-            FaultStudySummary::empty(),
-            &ExecHooks::default(),
-            &mut None,
-        ) {
-            Ok(summary) => summary,
-            Err(_) => unreachable!("no cancel token or checkpoint attached"),
-        }
-    }
-
     /// [`StudyConfig::run_faults`] with cancellation, progress and
     /// checkpointing surfaced as values — the fault-study counterpart
     /// of [`StudyConfig::try_run_summary`], with the same resume
@@ -558,163 +530,52 @@ impl<'a> StudyConfig<'a> {
     ///
     /// As [`StudyConfig::try_run_summary`].
     pub fn try_run_faults(&self) -> Result<FaultStudySummary, StudyError> {
-        let seeds = ChunkSeeds::from_seed(self.seed, self.dies);
-        let (start_chunk, acc, mut writer) = self.open_checkpoint(
-            "faults",
-            FaultStudySummary::empty(),
-            FaultStudySummary::decode_state,
-        )?;
-        self.faults_fold(&seeds, start_chunk, acc, &self.hooks(), &mut writer)
-            .map_err(StudyError::from_fold)
-    }
-
-    pub(crate) fn hooks(&self) -> ExecHooks<'_> {
-        ExecHooks {
-            cancel: self.cancel,
-            progress: self.progress,
-        }
-    }
-
-    /// The chunk-committed summary fold all summary terminals share:
-    /// the batched SoA scorer inside `try_par_fold_commit`, appending
-    /// one checkpoint record per committed chunk when a writer is
-    /// attached.
-    fn summary_fold(
-        &self,
-        seeds: &ChunkSeeds,
-        start_chunk: usize,
-        acc: YieldSummary,
-        hooks: &ExecHooks<'_>,
-        writer: &mut Option<CheckpointWriter>,
-    ) -> Result<YieldSummary, FoldError<CheckpointError>> {
-        let eval = self.resolved_eval();
-        let supply = self.resolved_supply();
-        let ctx = self.context(&eval, &supply);
-        let batch = self.batch.max(1);
-        let mut summary = try_par_fold_commit(
-            &self.exec,
-            self.dies,
-            start_chunk,
-            hooks,
-            YieldSummary::empty,
-            acc,
-            |part, range| {
-                let first_die = range.start;
-                let chunk_seeds = seeds.for_range(range);
-                match self.faults {
-                    None => fold_dies(&ctx, &chunk_seeds, first_die, batch, |_, die| {
-                        part.absorb(die)
-                    }),
-                    Some(plan) => {
-                        fold_faulted_dies(&ctx, plan, &chunk_seeds, first_die, batch, |_, die| {
-                            part.absorb(&die.base)
-                        })
-                    }
-                }
-            },
-            YieldSummary::merge,
-            |chunks_done, acc| match writer {
-                Some(w) => w.append(chunks_done as u64, &acc.encode_state()),
-                None => Ok(()),
-            },
-        )?;
-        summary.fixed_word = self.fixed_word;
-        Ok(summary)
-    }
-
-    /// The fault-study counterpart of [`StudyConfig::summary_fold`].
-    fn faults_fold(
-        &self,
-        seeds: &ChunkSeeds,
-        start_chunk: usize,
-        acc: FaultStudySummary,
-        hooks: &ExecHooks<'_>,
-        writer: &mut Option<CheckpointWriter>,
-    ) -> Result<FaultStudySummary, FoldError<CheckpointError>> {
         let plan = self.faults.unwrap_or_else(|| FaultPlan::uniform(0.0));
-        let eval = self.resolved_eval();
-        let supply = self.resolved_supply();
-        let ctx = self.context(&eval, &supply);
-        let batch = self.batch.max(1);
-        let mut summary = try_par_fold_commit(
-            &self.exec,
-            self.dies,
-            start_chunk,
-            hooks,
-            FaultStudySummary::empty,
-            acc,
-            |part, range| {
-                let first_die = range.start;
-                let chunk_seeds = seeds.for_range(range);
-                fold_faulted_dies(&ctx, plan, &chunk_seeds, first_die, batch, |_, die| {
-                    part.absorb(die)
-                })
-            },
-            FaultStudySummary::merge,
-            |chunks_done, acc| match writer {
-                Some(w) => w.append(chunks_done as u64, &acc.encode_state()),
-                None => Ok(()),
-            },
-        )?;
-        summary.base.fixed_word = self.fixed_word;
-        Ok(summary)
+        match self.run_as_cell(Some(plan))? {
+            CellSummary::Faults(summary) => Ok(summary),
+            CellSummary::Yield(_) => unreachable!("a cell with a fault plan is a fault cell"),
+        }
     }
 
-    /// Opens (or creates) the configured checkpoint file, returning
-    /// the resume point: `(start_chunk, accumulator, writer)`.
-    fn open_checkpoint<A>(
-        &self,
-        kind: &str,
-        empty: A,
-        decode: impl Fn(&[u8]) -> Result<A, CheckpointError>,
-    ) -> Result<(usize, A, Option<CheckpointWriter>), StudyError> {
-        let Some(path) = &self.checkpoint else {
-            return Ok((0, empty, None));
+    /// Runs this study as the engine's one cell (its supply, its
+    /// environment, `faults`). The checkpoint identity is that of the
+    /// equivalent one-cell [`crate::matrix::StudyMatrix`].
+    fn run_as_cell(&self, faults: Option<FaultPlan>) -> Result<CellSummary, StudyError> {
+        let cell = ResolvedCell {
+            sim: self.resolved_supply(),
+            tag: self.supply_tag(),
+            env: self.env,
+            faults,
         };
-        let fingerprint = fingerprint_of(&self.fingerprint_text(kind));
-        let total = self.dies as u64;
-        if !path.exists() {
-            let writer = CheckpointWriter::create(path, fingerprint, total)?;
-            return Ok((0, empty, Some(writer)));
-        }
-        let (checkpoint, writer) = open_for_resume(path)?;
-        checkpoint.verify(fingerprint, total)?;
-        match checkpoint.last {
-            None => Ok((0, empty, Some(writer))),
-            Some(record) => {
-                let start = usize::try_from(record.chunks_done)
-                    .ok()
-                    .filter(|&c| c <= chunk_count(self.dies))
-                    .ok_or(StudyError::Checkpoint(CheckpointError::Decode(
-                        "checkpoint is ahead of the population",
-                    )))?;
-                let acc = decode(&record.state)?;
-                Ok((start, acc, Some(writer)))
-            }
-        }
+        let mut results = run_cells(self, &[cell])?;
+        Ok(results.pop().expect("one cell in, one result out"))
     }
 
-    /// The run-identity string hashed into the checkpoint fingerprint:
-    /// everything that shapes the *result* — seed, population, spec,
-    /// models — and nothing that only shapes the *execution* (worker
-    /// count and batch size are deliberately excluded, so a run may
-    /// resume under a different `--jobs`/`--batch` bit-identically).
-    pub fn fingerprint_text(&self, kind: &str) -> String {
-        let supply_tag = match &self.supply {
+    /// The supply's fingerprint tag: the backend label, or
+    /// `{tag}-model` for a caller-built regulator model.
+    fn supply_tag(&self) -> String {
+        match &self.supply {
             StudySupply::Backend(kind) => kind.label().to_owned(),
             StudySupply::Model(SupplySim::Ideal) => "ideal".to_owned(),
-            StudySupply::Model(SupplySim::Regulated(model)) => {
-                format!("{}-model", model.tag())
-            }
-        };
-        self.fingerprint_text_with(kind, &supply_tag, self.env, self.faults)
+            StudySupply::Model(SupplySim::Regulated(model)) => format!("{}-model", model.tag()),
+        }
+    }
+
+    /// The run-identity string of one study cell: everything that
+    /// shapes the *result* — seed, population, spec, models — and
+    /// nothing that only shapes the *execution* (worker count and
+    /// batch size are deliberately excluded, so a run may resume under
+    /// a different `--jobs`/`--batch` bit-identically). A checkpoint
+    /// fingerprint hashes the cell strings of the whole run (see
+    /// [`crate::matrix::StudyMatrix::fingerprint_text`]).
+    pub fn fingerprint_text(&self, kind: &str) -> String {
+        self.fingerprint_text_with(kind, &self.supply_tag(), self.env, self.faults)
     }
 
     /// [`StudyConfig::fingerprint_text`] with the cell-varying axes —
     /// supply tag, environment, fault plan — passed explicitly, so the
-    /// matrix path ([`crate::matrix`]) derives each cell's identity
-    /// string from the same template a standalone run of that cell
-    /// would hash. One format string serves both; they cannot drift.
+    /// engine ([`crate::matrix`]) derives every cell's identity string
+    /// from this one template.
     pub(crate) fn fingerprint_text_with(
         &self,
         kind: &str,
@@ -760,21 +621,22 @@ impl<'a> StudyConfig<'a> {
         T: Send,
         F: Fn(usize, StdRng) -> T + Sync,
     {
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let seeds: Vec<u64> = (0..self.dies)
-            .map(|i| rng.fork_seed(&format!("{label}-{i}")))
-            .collect();
-        par_map_indexed(&self.exec, self.dies, |i| {
-            f(i, StdRng::seed_from_u64(seeds[i]))
-        })
+        self.fold_dies(
+            label,
+            Vec::new,
+            |out, i, die_rng| out.push(f(i, die_rng)),
+            |out, part| out.extend(part),
+        )
     }
 
     /// Streaming counterpart of [`StudyConfig::run_dies`]: folds every
     /// die into per-chunk accumulators merged in ascending chunk order,
-    /// so memory stays `O(jobs × accumulator)` instead of `O(dies)`.
-    /// The fold/merge sequence is a pure function of the die count
-    /// (see [`subvt_exec::chunk_len`]), so the result is bit-identical
-    /// for any worker count.
+    /// so memory stays `O(chunks + jobs × accumulator)` instead of
+    /// `O(dies)` — the die streams come from per-chunk snapshots of
+    /// the fork stream, never a per-die seed vector. The fold/merge
+    /// sequence is a pure function of the die count (see
+    /// [`subvt_exec::chunk_len`]), so the result is bit-identical for
+    /// any worker count.
     pub fn fold_dies<A, I, F, M>(&self, label: &str, init: I, fold: F, merge: M) -> A
     where
         A: Send,
@@ -782,17 +644,24 @@ impl<'a> StudyConfig<'a> {
         F: Fn(&mut A, usize, StdRng) + Sync,
         M: Fn(&mut A, A),
     {
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let seeds: Vec<u64> = (0..self.dies)
-            .map(|i| rng.fork_seed(&format!("{label}-{i}")))
-            .collect();
-        par_fold_chunked(
+        let seeds = ChunkSeeds::new(self.seed, self.dies, label);
+        try_par_fold_commit(
             &self.exec,
             self.dies,
-            init,
-            |acc, i| fold(acc, i, StdRng::seed_from_u64(seeds[i])),
+            0,
+            &ExecHooks::default(),
+            &init,
+            init(),
+            |acc, range| {
+                let chunk_seeds = seeds.for_range(range.clone());
+                for (i, seed) in range.zip(chunk_seeds) {
+                    fold(acc, i, StdRng::seed_from_u64(seed));
+                }
+            },
             merge,
+            |_, _| Ok::<(), std::convert::Infallible>(()),
         )
+        .unwrap_or_else(|_| unreachable!("no cancel token or commit sink attached"))
     }
 }
 
@@ -851,7 +720,8 @@ pub const STUDY_HELP: &str = "\
                       stop (checkpointed) once N dies have been scored
     --profile-phases  print per-phase wall time of the batched hot path
                       (draw / fixed lane / word settle / adaptive lanes /
-                      dither settle) after the run
+                      dither settle, plus shared draw / fault walk when
+                      faults are armed) after the run
     --profile-phases-json F
                       write the per-phase profile as JSON to F after the run";
 
@@ -1107,6 +977,7 @@ impl StudyArgs {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use subvt_rng::Rng;
 
     fn argv(parts: &[&str]) -> Vec<String> {
         parts.iter().map(|s| s.to_string()).collect()

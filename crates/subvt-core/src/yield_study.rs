@@ -359,6 +359,13 @@ impl SupplySim {
     }
 }
 
+/// Calibrates the study's TDC sensor at `env` through `eval`. A pure
+/// function of its arguments, so cells that share an environment share
+/// one calibration.
+pub(crate) fn calibrated_sensor(eval: &SharedEval, env: Environment) -> VariationSensor {
+    VariationSensor::with_eval(eval.as_ref(), env, SensorConfig::default())
+}
+
 /// The immutable per-study context shared (read-only) by every worker
 /// scoring dies.
 pub(crate) struct StudyContext<'a> {
@@ -369,13 +376,13 @@ pub(crate) struct StudyContext<'a> {
     pub(crate) spec: YieldSpec,
     pub(crate) fixed_word: VoltageWord,
     pub(crate) design_word: VoltageWord,
-    pub(crate) sensor: VariationSensor,
+    pub(crate) sensor: &'a VariationSensor,
     pub(crate) supply: &'a SupplySim,
 }
 
 impl<'a> StudyContext<'a> {
-    /// Builds the context, deriving the calibrated sensor from the
-    /// evaluator and environment.
+    /// Builds the context around a sensor calibrated at `env` (see
+    /// [`calibrated_sensor`]).
     #[allow(clippy::too_many_arguments)] // crate-internal plumbing
     pub(crate) fn new(
         eval: SharedEval,
@@ -385,10 +392,11 @@ impl<'a> StudyContext<'a> {
         spec: YieldSpec,
         fixed_word: VoltageWord,
         design_word: VoltageWord,
+        sensor: &'a VariationSensor,
         supply: &'a SupplySim,
     ) -> StudyContext<'a> {
         StudyContext {
-            sensor: VariationSensor::with_eval(eval.as_ref(), env, SensorConfig::default()),
+            sensor,
             eval,
             load,
             env,
@@ -432,20 +440,22 @@ impl<'a> StudyContext<'a> {
         )
     }
 
+    /// Spec check at a commanded word's operating point.
     pub(crate) fn passes(
         &self,
-        eval: &dyn DeviceEval,
+        rate_eval: &dyn DeviceEval,
+        energy_eval: &dyn DeviceEval,
         word: VoltageWord,
         die: GateMismatch,
     ) -> (bool, Joules) {
         match self.supply {
             SupplySim::Ideal => {
                 let v = word_voltage(word);
-                self.passes_at(eval, eval, v, v, die)
+                self.passes_at(rate_eval, energy_eval, v, v, die)
             }
             SupplySim::Regulated(model) => {
                 let op = model.point(word);
-                self.passes_at(eval, eval, op.v_min, op.v_mean, die)
+                self.passes_at(rate_eval, energy_eval, op.v_min, op.v_mean, die)
             }
         }
     }
@@ -483,12 +493,13 @@ impl<'a> StudyContext<'a> {
         let die = self.variation.sample_die(&mut die_rng);
         let mismatch = die.mean_gate();
         let cached = CachedEval::new(self.eval.as_ref());
-        let (fixed_passes, _) = self.passes(&cached, self.fixed_word, mismatch);
+        let (fixed_passes, _) = self.passes(&cached, &cached, self.fixed_word, mismatch);
         let adaptive_word =
-            settled_word(&cached, &self.sensor, self.design_word, self.env, mismatch);
-        let (adaptive_passes, adaptive_energy) = self.passes(&cached, adaptive_word, mismatch);
+            settled_word(&cached, self.sensor, self.design_word, self.env, mismatch);
+        let (adaptive_passes, adaptive_energy) =
+            self.passes(&cached, &cached, adaptive_word, mismatch);
         let dithered_v =
-            settled_voltage_dithered(&cached, &self.sensor, self.design_word, self.env, mismatch);
+            settled_voltage_dithered(&cached, self.sensor, self.design_word, self.env, mismatch);
         let (dithered_passes, _) = self.passes_dithered(&cached, &cached, dithered_v, mismatch);
         DieOutcome {
             corner_units: die.corner_units(),
@@ -501,13 +512,13 @@ impl<'a> StudyContext<'a> {
     }
 }
 
-/// Draws the per-die fork seeds serially from the caller's stream.
-///
-/// One 8-byte seed per die, in die order — exactly the draws
-/// `rng.fork("die-{i}")` would make inline, so expanding `seeds[i]`
-/// on a worker thread reproduces the serial loop bit-for-bit.
-pub(crate) fn die_seeds<R: Rng + ?Sized>(rng: &mut R, dies: usize) -> Vec<u64> {
+/// The scalar oracle's die stream: one serial `fork_seed("die-{i}")`
+/// draw per die from the root `seed`, in die order — exactly the draws
+/// `rng.fork("die-{i}")` would make inline, so expanding `seeds[i]` on
+/// a worker thread reproduces the serial loop bit-for-bit.
+pub(crate) fn die_seeds(seed: u64, dies: usize) -> Vec<u64> {
     use std::fmt::Write as _;
+    let mut rng = StdRng::seed_from_u64(seed);
     let mut label = String::with_capacity(24);
     (0..dies)
         .map(|i| {

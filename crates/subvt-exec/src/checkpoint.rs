@@ -9,18 +9,22 @@
 //! is bit-identical (floats are stored as raw IEEE-754 bit patterns,
 //! never formatted).
 //!
-//! ## File format (version 1, little-endian throughout)
+//! ## File format (version 2, little-endian throughout)
+//!
+//! A study folds one die stream into N per-cell accumulators
+//! ([`try_par_fold_commit_multi`]); a standalone study is the one-cell
+//! case. Each record carries the N state blobs side by side:
 //!
 //! ```text
 //! header:  magic  b"SVCP"       4 bytes
-//!          version u32          = 1
-//!          fingerprint u64      caller-supplied run identity
+//!          version u32          = 2
+//!          fingerprint u64      caller-supplied run identity (all cells)
 //!          total_items u64      population size n
-//!          crc32 u32            over the 24 header bytes above
-//! record:  chunks_done u64      chunks merged into this state
-//!          state_len u32
-//!          state bytes          opaque accumulator state
-//!          crc32 u32            over chunks_done ‖ state_len ‖ state
+//!          cells u32            per-record state count N
+//!          crc32 u32            over the 28 header bytes above
+//! record:  chunks_done u64      chunks merged into these states
+//!          N × (state_len u32, state bytes)
+//!          crc32 u32            over the whole record body
 //! ```
 //!
 //! Records only ever append; each is written with a single `write`
@@ -38,29 +42,10 @@
 //! guarantees those don't change results, and resuming at a different
 //! `--jobs` is explicitly supported.
 //!
-//! ## Matrix format (version 2)
-//!
-//! A matrix run ([`try_par_fold_commit_multi`]) folds one die stream
-//! into N per-cell accumulators, so its records carry N state blobs:
-//!
-//! ```text
-//! header:  magic  b"SVCP"       4 bytes
-//!          version u32          = 2
-//!          fingerprint u64      matrix identity (all cells)
-//!          total_items u64      population size n
-//!          cells u32            per-record state count N
-//!          crc32 u32            over the 28 header bytes above
-//! record:  chunks_done u64
-//!          N × (state_len u32, state bytes)
-//!          crc32 u32            over the whole record body
-//! ```
-//!
-//! Everything else — append-only single-write records, the strict
-//! reader, the reject-never-salvage rule — carries over unchanged.
-//! The version-1 reader rejects a version-2 file (and vice versa)
-//! with [`CheckpointError::BadVersion`]: the two formats are distinct
-//! on purpose, so a single-cell resume can never consume a matrix
-//! file.
+//! Version 1 was a single-state format written by an earlier,
+//! separate standalone-study pipeline. It is retired: a version-1
+//! file fails with [`CheckpointError::BadVersion`]`(1)`, whose message
+//! says to rerun the study.
 //!
 //! [`try_par_fold_commit_multi`]: crate::try_par_fold_commit_multi
 
@@ -69,14 +54,9 @@ use std::io::Write as _;
 use std::path::Path;
 
 const MAGIC: [u8; 4] = *b"SVCP";
-const VERSION: u32 = 1;
 const MATRIX_VERSION: u32 = 2;
-/// magic + version + fingerprint + total_items + crc32.
-const HEADER_LEN: usize = 4 + 4 + 8 + 8 + 4;
 /// magic + version + fingerprint + total_items + cells + crc32.
 const MATRIX_HEADER_LEN: usize = 4 + 4 + 8 + 8 + 4 + 4;
-/// chunks_done + state_len + crc32 (excluding the state bytes).
-const RECORD_OVERHEAD: usize = 8 + 4 + 4;
 
 /// Why a checkpoint file could not be written, read, or trusted.
 #[derive(Debug)]
@@ -86,7 +66,8 @@ pub enum CheckpointError {
     /// The file does not start with the `SVCP` magic — not a
     /// checkpoint file.
     BadMagic,
-    /// The file uses a format version this build does not understand.
+    /// The file uses a format version this build does not understand
+    /// (version 1 is the retired single-state format).
     BadVersion(u32),
     /// The file belongs to a different run configuration.
     FingerprintMismatch {
@@ -128,6 +109,10 @@ impl std::fmt::Display for CheckpointError {
         match self {
             CheckpointError::Io(e) => write!(f, "checkpoint I/O error: {e}"),
             CheckpointError::BadMagic => write!(f, "not a checkpoint file (bad magic)"),
+            CheckpointError::BadVersion(1) => write!(
+                f,
+                "checkpoint format version 1 is retired; delete the file and rerun the study"
+            ),
             CheckpointError::BadVersion(v) => write!(f, "unsupported checkpoint version {v}"),
             CheckpointError::FingerprintMismatch { expected, found } => write!(
                 f,
@@ -256,214 +241,6 @@ impl<'a> StateReader<'a> {
     }
 }
 
-/// The latest committed state recovered from a checkpoint file.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CheckpointRecord {
-    /// Chunks merged into `state` (the resume point's `start_chunk`).
-    pub chunks_done: u64,
-    /// Opaque accumulator state, as handed to
-    /// [`CheckpointWriter::append`].
-    pub state: Vec<u8>,
-}
-
-/// A fully validated checkpoint file.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Checkpoint {
-    /// Run identity the file was created with.
-    pub fingerprint: u64,
-    /// Population size the file was created with.
-    pub total_items: u64,
-    /// The last committed record; `None` for a header-only file
-    /// (created, then cancelled before the first commit).
-    pub last: Option<CheckpointRecord>,
-}
-
-impl Checkpoint {
-    /// Checks the file belongs to the run asking to resume.
-    ///
-    /// # Errors
-    ///
-    /// [`CheckpointError::FingerprintMismatch`] /
-    /// [`CheckpointError::TotalMismatch`] when it does not.
-    pub fn verify(&self, fingerprint: u64, total_items: u64) -> Result<(), CheckpointError> {
-        if self.fingerprint != fingerprint {
-            return Err(CheckpointError::FingerprintMismatch {
-                expected: fingerprint,
-                found: self.fingerprint,
-            });
-        }
-        if self.total_items != total_items {
-            return Err(CheckpointError::TotalMismatch {
-                expected: total_items,
-                found: self.total_items,
-            });
-        }
-        Ok(())
-    }
-}
-
-/// Append-only writer for a checkpoint file.
-#[derive(Debug)]
-pub struct CheckpointWriter {
-    file: File,
-    last_chunks_done: u64,
-}
-
-impl CheckpointWriter {
-    /// Creates (truncating) a checkpoint file and writes its header.
-    ///
-    /// # Errors
-    ///
-    /// [`CheckpointError::Io`] on filesystem failure.
-    pub fn create(
-        path: &Path,
-        fingerprint: u64,
-        total_items: u64,
-    ) -> Result<CheckpointWriter, CheckpointError> {
-        let mut header = Vec::with_capacity(HEADER_LEN);
-        header.extend_from_slice(&MAGIC);
-        header.extend_from_slice(&VERSION.to_le_bytes());
-        header.extend_from_slice(&fingerprint.to_le_bytes());
-        header.extend_from_slice(&total_items.to_le_bytes());
-        let crc = crc32(&header);
-        header.extend_from_slice(&crc.to_le_bytes());
-        let mut file = File::create(path)?;
-        file.write_all(&header)?;
-        file.flush()?;
-        Ok(CheckpointWriter {
-            file,
-            last_chunks_done: 0,
-        })
-    }
-
-    /// Appends one committed-state record (a single `write` + flush,
-    /// so a cancellation between commits never tears the file).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunks_done` does not increase monotonically — the
-    /// commit engine calls in chunk order by construction.
-    ///
-    /// # Errors
-    ///
-    /// [`CheckpointError::Io`] on filesystem failure.
-    pub fn append(&mut self, chunks_done: u64, state: &[u8]) -> Result<(), CheckpointError> {
-        assert!(
-            chunks_done > self.last_chunks_done,
-            "checkpoint records must advance: {} after {}",
-            chunks_done,
-            self.last_chunks_done
-        );
-        let state_len =
-            u32::try_from(state.len()).map_err(|_| CheckpointError::Decode("state too large"))?;
-        let mut record = Vec::with_capacity(RECORD_OVERHEAD + state.len());
-        record.extend_from_slice(&chunks_done.to_le_bytes());
-        record.extend_from_slice(&state_len.to_le_bytes());
-        record.extend_from_slice(state);
-        let crc = crc32(&record);
-        record.extend_from_slice(&crc.to_le_bytes());
-        self.file.write_all(&record)?;
-        self.file.flush()?;
-        self.last_chunks_done = chunks_done;
-        Ok(())
-    }
-}
-
-/// Reads and fully validates a checkpoint file.
-///
-/// Every record's CRC is checked and record order must strictly
-/// advance; the last record wins (earlier ones are just the commit
-/// history). Any structural damage is a hard error — see the module
-/// docs for why a damaged file is never treated as absent.
-///
-/// # Errors
-///
-/// [`CheckpointError::Io`] if the file cannot be read,
-/// [`CheckpointError::BadMagic`] / [`CheckpointError::BadVersion`] /
-/// [`CheckpointError::Corrupt`] on structural damage.
-pub fn read_checkpoint(path: &Path) -> Result<Checkpoint, CheckpointError> {
-    let data = std::fs::read(path)?;
-    parse_checkpoint(&data)
-}
-
-fn parse_checkpoint(data: &[u8]) -> Result<Checkpoint, CheckpointError> {
-    if data.len() < 4 {
-        return Err(
-            if data.starts_with(&MAGIC[..data.len()]) && !data.is_empty() {
-                CheckpointError::Corrupt("truncated header")
-            } else {
-                CheckpointError::BadMagic
-            },
-        );
-    }
-    if data[..4] != MAGIC {
-        return Err(CheckpointError::BadMagic);
-    }
-    if data.len() < HEADER_LEN {
-        return Err(CheckpointError::Corrupt("truncated header"));
-    }
-    let field_u32 = |at: usize| u32::from_le_bytes(data[at..at + 4].try_into().expect("4 bytes"));
-    let field_u64 = |at: usize| u64::from_le_bytes(data[at..at + 8].try_into().expect("8 bytes"));
-    let version = field_u32(4);
-    if version != VERSION {
-        return Err(CheckpointError::BadVersion(version));
-    }
-    if crc32(&data[..HEADER_LEN - 4]) != field_u32(HEADER_LEN - 4) {
-        return Err(CheckpointError::Corrupt("header CRC mismatch"));
-    }
-    let fingerprint = field_u64(8);
-    let total_items = field_u64(16);
-
-    let mut last: Option<CheckpointRecord> = None;
-    let mut at = HEADER_LEN;
-    while at < data.len() {
-        if data.len() - at < RECORD_OVERHEAD {
-            return Err(CheckpointError::Corrupt("truncated record"));
-        }
-        let chunks_done = field_u64(at);
-        let state_len = field_u32(at + 8) as usize;
-        let body_end = at + 12 + state_len;
-        if data.len() - (at + 12) < state_len + 4 {
-            return Err(CheckpointError::Corrupt("truncated record"));
-        }
-        if crc32(&data[at..body_end]) != field_u32(body_end) {
-            return Err(CheckpointError::Corrupt("record CRC mismatch"));
-        }
-        if last.as_ref().is_some_and(|l| chunks_done <= l.chunks_done) {
-            return Err(CheckpointError::Corrupt("records out of order"));
-        }
-        last = Some(CheckpointRecord {
-            chunks_done,
-            state: data[at + 12..body_end].to_vec(),
-        });
-        at = body_end + 4;
-    }
-    Ok(Checkpoint {
-        fingerprint,
-        total_items,
-        last,
-    })
-}
-
-/// Opens an existing checkpoint for resuming: validates the whole
-/// file, then returns it with a writer positioned to append.
-///
-/// # Errors
-///
-/// As [`read_checkpoint`].
-pub fn open_for_resume(path: &Path) -> Result<(Checkpoint, CheckpointWriter), CheckpointError> {
-    let checkpoint = read_checkpoint(path)?;
-    let file = OpenOptions::new().append(true).open(path)?;
-    let last_chunks_done = checkpoint.last.as_ref().map_or(0, |r| r.chunks_done);
-    Ok((
-        checkpoint,
-        CheckpointWriter {
-            file,
-            last_chunks_done,
-        },
-    ))
-}
-
 /// The latest committed matrix record: one state blob per cell, all
 /// merged through the same `chunks_done` chunks.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -474,7 +251,7 @@ pub struct MatrixCheckpointRecord {
     pub states: Vec<Vec<u8>>,
 }
 
-/// A fully validated version-2 (matrix) checkpoint file.
+/// A fully validated checkpoint file.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MatrixCheckpoint {
     /// Matrix identity the file was created with.
@@ -523,7 +300,7 @@ impl MatrixCheckpoint {
     }
 }
 
-/// Append-only writer for a version-2 (matrix) checkpoint file.
+/// Append-only writer for a checkpoint file.
 #[derive(Debug)]
 pub struct MatrixCheckpointWriter {
     file: File,
@@ -532,8 +309,7 @@ pub struct MatrixCheckpointWriter {
 }
 
 impl MatrixCheckpointWriter {
-    /// Creates (truncating) a matrix checkpoint file and writes its
-    /// header.
+    /// Creates (truncating) a checkpoint file and writes its header.
     ///
     /// # Errors
     ///
@@ -562,8 +338,8 @@ impl MatrixCheckpointWriter {
         })
     }
 
-    /// Appends one committed multi-cell record (a single `write` +
-    /// flush, like the single-cell writer).
+    /// Appends one committed record (a single `write` + flush, so a
+    /// cancellation between commits never tears the file).
     ///
     /// # Panics
     ///
@@ -604,13 +380,19 @@ impl MatrixCheckpointWriter {
     }
 }
 
-/// Reads and fully validates a version-2 (matrix) checkpoint file,
-/// with the same strictness as [`read_checkpoint`].
+/// Reads and fully validates a checkpoint file.
+///
+/// Every record's CRC is checked and record order must strictly
+/// advance; the last record wins (earlier ones are just the commit
+/// history). Any structural damage is a hard error — see the module
+/// docs for why a damaged file is never treated as absent.
 ///
 /// # Errors
 ///
-/// As [`read_checkpoint`]; a version-1 file is
-/// [`CheckpointError::BadVersion`]`(1)`.
+/// [`CheckpointError::Io`] if the file cannot be read,
+/// [`CheckpointError::BadMagic`] / [`CheckpointError::BadVersion`] /
+/// [`CheckpointError::Corrupt`] on structural damage; a retired
+/// version-1 file is [`CheckpointError::BadVersion`]`(1)`.
 pub fn read_matrix_checkpoint(path: &Path) -> Result<MatrixCheckpoint, CheckpointError> {
     let data = std::fs::read(path)?;
     parse_matrix_checkpoint(&data)
@@ -634,8 +416,8 @@ fn parse_matrix_checkpoint(data: &[u8]) -> Result<MatrixCheckpoint, CheckpointEr
     if data.len() < 8 {
         return Err(CheckpointError::Corrupt("truncated header"));
     }
-    // Version before length: a well-formed version-1 file is shorter
-    // than a matrix header, and must report the version mismatch, not
+    // Version before length: a well-formed (retired) version-1 file is
+    // shorter than this header, and must report the version, not
     // truncation.
     let version = field_u32(4);
     if version != MATRIX_VERSION {
@@ -696,8 +478,8 @@ fn parse_matrix_checkpoint(data: &[u8]) -> Result<MatrixCheckpoint, CheckpointEr
     })
 }
 
-/// Opens an existing matrix checkpoint for resuming: validates the
-/// whole file, then returns it with a writer positioned to append.
+/// Opens an existing checkpoint for resuming: validates the whole
+/// file, then returns it with a writer positioned to append.
 ///
 /// # Errors
 ///
@@ -748,115 +530,6 @@ mod tests {
     }
 
     #[test]
-    fn round_trips_header_and_records() {
-        let path = tmp("roundtrip");
-        let mut w = CheckpointWriter::create(&path, 0xDEAD_BEEF, 1000).unwrap();
-        w.append(3, &[1, 2, 3]).unwrap();
-        w.append(7, &[4, 5]).unwrap();
-        let cp = read_checkpoint(&path).unwrap();
-        assert_eq!(cp.fingerprint, 0xDEAD_BEEF);
-        assert_eq!(cp.total_items, 1000);
-        cp.verify(0xDEAD_BEEF, 1000).unwrap();
-        let last = cp.last.unwrap();
-        assert_eq!(last.chunks_done, 7);
-        assert_eq!(last.state, vec![4, 5]);
-        assert!(matches!(
-            read_checkpoint(&path).unwrap().verify(1, 1000),
-            Err(CheckpointError::FingerprintMismatch { .. })
-        ));
-        assert!(matches!(
-            read_checkpoint(&path).unwrap().verify(0xDEAD_BEEF, 999),
-            Err(CheckpointError::TotalMismatch { .. })
-        ));
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn header_only_file_has_no_record() {
-        let path = tmp("header-only");
-        CheckpointWriter::create(&path, 7, 10).unwrap();
-        let cp = read_checkpoint(&path).unwrap();
-        assert_eq!(cp.last, None);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn resume_writer_appends_after_existing_records() {
-        let path = tmp("resume-append");
-        let mut w = CheckpointWriter::create(&path, 9, 50).unwrap();
-        w.append(2, &[10]).unwrap();
-        drop(w);
-        let (cp, mut w) = open_for_resume(&path).unwrap();
-        assert_eq!(cp.last.as_ref().unwrap().chunks_done, 2);
-        w.append(5, &[20]).unwrap();
-        let cp = read_checkpoint(&path).unwrap();
-        assert_eq!(cp.last.unwrap().chunks_done, 5);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    #[should_panic(expected = "must advance")]
-    fn writer_rejects_non_monotonic_records() {
-        let path = tmp("non-monotonic");
-        let mut w = CheckpointWriter::create(&path, 1, 10).unwrap();
-        w.append(4, &[]).unwrap();
-        let _ = w.append(4, &[]);
-    }
-
-    #[test]
-    fn damage_is_rejected_not_salvaged() {
-        let path = tmp("damage");
-        let mut w = CheckpointWriter::create(&path, 11, 64).unwrap();
-        w.append(1, &[9; 40]).unwrap();
-        w.append(2, &[8; 40]).unwrap();
-        drop(w);
-        let good = std::fs::read(&path).unwrap();
-
-        // Flip one byte inside the last record's state.
-        let mut bad = good.clone();
-        let n = bad.len();
-        bad[n - 10] ^= 0xFF;
-        std::fs::write(&path, &bad).unwrap();
-        assert!(matches!(
-            read_checkpoint(&path),
-            Err(CheckpointError::Corrupt("record CRC mismatch"))
-        ));
-
-        // Truncate mid-record.
-        std::fs::write(&path, &good[..n - 7]).unwrap();
-        assert!(matches!(
-            read_checkpoint(&path),
-            Err(CheckpointError::Corrupt("truncated record"))
-        ));
-
-        // Not a checkpoint at all.
-        std::fs::write(&path, b"definitely not a checkpoint").unwrap();
-        assert!(matches!(
-            read_checkpoint(&path),
-            Err(CheckpointError::BadMagic)
-        ));
-
-        // Wrong version.
-        let mut versioned = good.clone();
-        versioned[4] = 99;
-        std::fs::write(&path, &versioned).unwrap();
-        assert!(matches!(
-            read_checkpoint(&path),
-            Err(CheckpointError::BadVersion(99))
-        ));
-
-        // Header CRC mismatch (restore version, corrupt fingerprint).
-        let mut torn = good;
-        torn[9] ^= 0x01;
-        std::fs::write(&path, &torn).unwrap();
-        assert!(matches!(
-            read_checkpoint(&path),
-            Err(CheckpointError::Corrupt("header CRC mismatch"))
-        ));
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn matrix_round_trips_per_cell_states() {
         let path = tmp("matrix-roundtrip");
         let mut w = MatrixCheckpointWriter::create(&path, 0xFACE, 500, 3).unwrap();
@@ -893,21 +566,21 @@ mod tests {
     }
 
     #[test]
-    fn matrix_and_single_cell_formats_reject_each_other() {
-        let single = tmp("v1-for-v2");
-        CheckpointWriter::create(&single, 1, 10).unwrap();
-        assert!(matches!(
-            read_matrix_checkpoint(&single),
-            Err(CheckpointError::BadVersion(1))
-        ));
-        let matrix = tmp("v2-for-v1");
-        MatrixCheckpointWriter::create(&matrix, 1, 10, 2).unwrap();
-        assert!(matches!(
-            read_checkpoint(&matrix),
-            Err(CheckpointError::BadVersion(2))
-        ));
-        std::fs::remove_file(&single).ok();
-        std::fs::remove_file(&matrix).ok();
+    fn header_only_file_has_no_record() {
+        let path = tmp("header-only");
+        MatrixCheckpointWriter::create(&path, 7, 10, 1).unwrap();
+        let cp = read_matrix_checkpoint(&path).unwrap();
+        assert_eq!((cp.cells, cp.last), (1, None));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    #[should_panic(expected = "must advance")]
+    fn writer_rejects_non_monotonic_records() {
+        let path = tmp("non-monotonic");
+        let mut w = MatrixCheckpointWriter::create(&path, 1, 10, 1).unwrap();
+        w.append(4, &[vec![]]).unwrap();
+        let _ = w.append(4, &[vec![]]);
     }
 
     #[test]
@@ -931,6 +604,31 @@ mod tests {
         assert!(matches!(
             read_matrix_checkpoint(&path),
             Err(CheckpointError::Corrupt("truncated record"))
+        ));
+
+        // Not a checkpoint at all.
+        std::fs::write(&path, b"definitely not a checkpoint").unwrap();
+        assert!(matches!(
+            read_matrix_checkpoint(&path),
+            Err(CheckpointError::BadMagic)
+        ));
+
+        // An unknown version.
+        let mut versioned = good.clone();
+        versioned[4] = 99;
+        std::fs::write(&path, &versioned).unwrap();
+        assert!(matches!(
+            read_matrix_checkpoint(&path),
+            Err(CheckpointError::BadVersion(99))
+        ));
+
+        // Header CRC mismatch (version intact, fingerprint flipped).
+        let mut torn = good;
+        torn[9] ^= 0x01;
+        std::fs::write(&path, &torn).unwrap();
+        assert!(matches!(
+            read_matrix_checkpoint(&path),
+            Err(CheckpointError::Corrupt("header CRC mismatch"))
         ));
         std::fs::remove_file(&path).ok();
     }

@@ -156,6 +156,55 @@ fn nothing_in_the_tree_still_names_a_legacy_entry_point() {
     }
 }
 
+/// Every `.rs` file directly under the directory `rel`, concatenated.
+fn crate_source(rel: &str) -> String {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join(rel);
+    let entries = fs::read_dir(&dir).unwrap_or_else(|e| panic!("list {rel}: {e}"));
+    let mut paths: Vec<_> = entries
+        .map(|entry| entry.expect("dir entry").path())
+        .collect();
+    paths.retain(|path| path.extension().is_some_and(|ext| ext == "rs"));
+    paths.sort();
+    paths
+        .iter()
+        .map(|path| fs::read_to_string(path).expect("read source"))
+        .collect()
+}
+
+#[test]
+fn the_second_batch_pipeline_and_checkpoint_v1_stay_deleted() {
+    // One scoring engine: a standalone study is a one-cell matrix, so
+    // the standalone folds, the caller-owned-generator terminals and
+    // the single-cell checkpoint format were deleted, not hidden.
+    let core = [
+        "fn summary_fold(",
+        "fn faults_fold(",
+        "fn score_faulted_die_with(",
+        "fn run_with_rng",
+        "fn run_summary_with_rng",
+        "fn run_faults_with_rng",
+    ];
+    let exec = [
+        "pub struct CheckpointWriter",
+        "fn read_checkpoint(",
+        "fn open_for_resume(",
+    ];
+    for (rel, needles) in [
+        ("crates/subvt-core/src", &core[..]),
+        ("crates/subvt-exec/src", &exec),
+    ] {
+        let text = crate_source(rel);
+        assert!(text.contains("fn "), "{rel}: no sources read");
+        for needle in needles {
+            assert!(!text.contains(needle), "{rel}: `{needle}` reappeared");
+        }
+    }
+    let rel = "crates/subvt-core/src/batch.rs";
+    for name in ["fold_dies", "fold_faulted_dies"] {
+        assert_absent(&source(rel), rel, name);
+    }
+}
+
 #[test]
 fn every_supply_backend_kind_is_spelled_in_the_cli_help() {
     // `--supply` must advertise exactly the four canonical spellings.

@@ -14,6 +14,7 @@ use subvt_core::study::{StudyConfig, StudyError, SupplyBackendKind};
 use subvt_core::FaultPlan;
 use subvt_device::corner::ProcessCorner;
 use subvt_device::mosfet::Environment;
+use subvt_exec::checkpoint::CheckpointError;
 use subvt_exec::{CancelToken, ExecConfig, Progress};
 
 const DIES: usize = 90;
@@ -214,31 +215,97 @@ fn a_matrix_checkpoint_rejects_a_reordered_or_reshaped_matrix() {
     assert_eq!(again, fresh);
 }
 
-#[test]
-fn matrix_and_single_cell_checkpoints_reject_each_other() {
-    // A v1 (single-cell) file must not resume a matrix and vice versa:
-    // the formats are versioned, not guessed.
-    let single = ScratchFile::new("v1");
-    let _ = StudyConfig::new(DIES, SEED)
-        .checkpoint(&single.0)
-        .run_summary();
-    let r = StudyMatrix::new(StudyConfig::new(DIES, SEED).checkpoint(&single.0))
-        .cell(SupplyBackendKind::Ideal, Environment::nominal(), None)
-        .try_run();
-    assert!(
-        matches!(r, Err(StudyError::Checkpoint(_))),
-        "matrix resume of a v1 file must be rejected, got {r:?}"
-    );
+/// CRC-32 (IEEE 802.3, reflected), to hand-build a well-formed
+/// header of the retired format.
+fn crc32(data: &[u8]) -> u32 {
+    let mut crc = 0xFFFF_FFFFu32;
+    for &b in data {
+        crc ^= u32::from(b);
+        for _ in 0..8 {
+            crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+        }
+    }
+    !crc
+}
 
-    let matrix = ScratchFile::new("v2");
-    let _ = StudyMatrix::new(StudyConfig::new(DIES, SEED).checkpoint(&matrix.0))
-        .cell(SupplyBackendKind::Ideal, Environment::nominal(), None)
-        .run();
-    let r = StudyConfig::new(DIES, SEED)
-        .checkpoint(&matrix.0)
-        .try_run_summary();
+#[test]
+fn a_retired_v1_checkpoint_is_rejected_by_every_terminal() {
+    // The retired single-state format: magic, version 1, fingerprint,
+    // total, header CRC. No terminal may resume it or overwrite it, and
+    // the error tells the user to rerun.
+    let file = ScratchFile::new("v1");
+    let mut header = Vec::new();
+    header.extend_from_slice(b"SVCP");
+    header.extend_from_slice(&1u32.to_le_bytes());
+    header.extend_from_slice(&0x1234u64.to_le_bytes());
+    header.extend_from_slice(&(DIES as u64).to_le_bytes());
+    let crc = crc32(&header);
+    header.extend_from_slice(&crc.to_le_bytes());
+    std::fs::write(&file.0, &header).unwrap();
+
+    let is_v1 = |r: Result<(), StudyError>| match r {
+        Err(StudyError::Checkpoint(e @ CheckpointError::BadVersion(1))) => {
+            let msg = e.to_string();
+            msg.contains("retired") && msg.contains("rerun")
+        }
+        _ => false,
+    };
+    let cfg = || StudyConfig::new(DIES, SEED).checkpoint(&file.0);
     assert!(
-        matches!(r, Err(StudyError::Checkpoint(_))),
-        "single-cell resume of a matrix file must be rejected, got {r:?}"
+        is_v1(cfg().try_run_summary().map(|_| ())),
+        "try_run_summary"
     );
+    assert!(
+        is_v1(
+            cfg()
+                .faults(FaultPlan::uniform(0.02))
+                .try_run_faults()
+                .map(|_| ())
+        ),
+        "try_run_faults"
+    );
+    assert!(
+        is_v1(
+            StudyMatrix::new(cfg())
+                .cell(SupplyBackendKind::Ideal, Environment::nominal(), None)
+                .try_run()
+                .map(|_| ())
+        ),
+        "StudyMatrix::try_run"
+    );
+    assert_eq!(std::fs::read(&file.0).unwrap(), header, "file untouched");
+}
+
+#[test]
+fn a_standalone_summary_checkpoint_resumes_as_the_equivalent_one_cell_matrix() {
+    // A standalone study is a one-cell matrix: its checkpoint carries
+    // that matrix's fingerprint, so the matrix resumes it.
+    let file = ScratchFile::new("one-cell");
+    let token = CancelToken::new();
+    let watch_token = token.clone();
+    let watch = move |p: Progress| {
+        if p.done >= DIES / 2 {
+            watch_token.cancel();
+        }
+    };
+    let killed = StudyConfig::new(DIES, SEED)
+        .supply_backend(SupplyBackendKind::Dldo)
+        .exec(ExecConfig::with_jobs(1))
+        .checkpoint(&file.0)
+        .cancel(&token)
+        .progress(&watch)
+        .try_run_summary();
+    assert!(matches!(killed, Err(StudyError::Cancelled)), "{killed:?}");
+
+    let resumed = StudyMatrix::new(
+        StudyConfig::new(DIES, SEED)
+            .exec(ExecConfig::with_jobs(3))
+            .checkpoint(&file.0),
+    )
+    .cell(SupplyBackendKind::Dldo, Environment::nominal(), None)
+    .run();
+    let straight = StudyConfig::new(DIES, SEED)
+        .supply_backend(SupplyBackendKind::Dldo)
+        .run_summary();
+    assert_eq!(resumed[0].encode_state(), straight.encode_state());
 }

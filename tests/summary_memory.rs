@@ -1,6 +1,7 @@
 //! Memory discipline of the streaming summary path: `run_summary`
-//! must hold `O(chunks + jobs × batch)` heap, never a per-die vector,
-//! so a 10⁶–10⁷-die fleet runs in a few hundred kilobytes. Pinned
+//! (and the savings Monte-Carlo's `fold_dies`) must hold
+//! `O(chunks + jobs × batch)` heap, never a per-die vector, so a
+//! 10⁶–10⁷-die fleet runs in a few hundred kilobytes. Pinned
 //! with a counting global allocator: growing the population 10× must
 //! not grow the summary path's peak heap by even one byte per extra
 //! die, while the materializing `run()` path (the scalar reference)
@@ -12,6 +13,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use subvt_core::study::StudyConfig;
 use subvt_core::DieOutcome;
 use subvt_exec::ExecConfig;
+use subvt_rng::Rng;
 
 /// System allocator wrapped with live/peak byte counters.
 struct CountingAlloc;
@@ -95,5 +97,24 @@ fn summary_peak_heap_does_not_scale_with_the_population() {
         report.summarize().encode_state(),
         s_large.encode_state(),
         "streaming and materializing paths diverged"
+    );
+
+    // The savings Monte-Carlo's fold draws its die streams from the
+    // same chunk snapshots: a trivial fold's peak heap must not grow
+    // by one byte per extra die either (a per-die seed vector would
+    // cost eight).
+    let trivial = |dies: usize| {
+        config(dies).fold_dies(
+            "mc-die",
+            || 0u64,
+            |acc, _, mut die_rng| *acc ^= die_rng.next_u64(),
+            |acc, part| *acc ^= part,
+        )
+    };
+    let (fold_small, _) = peak_during(|| trivial(small));
+    let (fold_large, _) = peak_during(|| trivial(large));
+    assert!(
+        fold_large < fold_small + (large - small),
+        "fold_dies peak grew {fold_small} -> {fold_large} bytes for {small} -> {large} dies"
     );
 }
