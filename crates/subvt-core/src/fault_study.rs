@@ -21,6 +21,12 @@
 //! converter reference register. Every recovery action books energy in
 //! the die's recovery line item.
 //!
+//! A scoring is three pieces the engine shares at different scopes:
+//! the 24-cycle schedule ([`draw_schedule`], per set of rates), the
+//! supply-independent walk ([`fault_trajectory`], per environment and
+//! plan for a die whose schedule never droops the rail) and the final
+//! scoring on the cell's supply ([`score_trajectory`]).
+//!
 //! Determinism: the fault stream is forked from the die stream *after*
 //! die sampling, so a clean die consumes exactly the draws the plain
 //! path does — a zero-rate plan is byte-identical to no plan at all,
@@ -35,21 +41,19 @@ use subvt_digital::encoder::QuantizerWord;
 use subvt_digital::lut::VoltageWord;
 use subvt_exec::checkpoint::{CheckpointError, StateReader, StateWriter};
 use subvt_exec::Welford;
-use subvt_faults::{CtrlFault, DcdcFault, FaultPlan, FaultSchedule};
+use subvt_faults::{CtrlFault, CycleFaults, DcdcFault, FaultPlan, FaultSchedule};
 use subvt_rng::{Rng, StdRng};
 use subvt_tdc::sensor::{word_voltage, SenseError};
 
 use crate::compensation::SignatureDebounce;
 use crate::watchdog::{RailWatchdog, WatchdogPolicy};
-use crate::yield_study::{
-    settled_voltage_dithered, settled_word, DieOutcome, StudyContext, SupplySim, YieldSummary,
-};
+use crate::yield_study::{DieOutcome, StudyContext, SupplySim, YieldSummary};
 
 /// System cycles the faulted compensation loop is run for. The clean
 /// walk needs at most 8 steps; 24 cycles leave room for debounce holds
 /// and watchdog backoff while keeping every fault episode inside the
 /// scored window.
-const FAULT_CYCLES: u32 = 24;
+const FAULT_CYCLES: usize = 24;
 
 /// Walk steps the loop may take — the same bound as the plain settling
 /// loop, so a clean die ends on the identical word.
@@ -222,23 +226,18 @@ fn walk_step(word: &mut VoltageWord, dev: i16, budget: &mut u32) {
     }
 }
 
-/// The clean (fault-free) reference pieces of one die's fault scoring:
-/// everything the faulted walk needs that does not depend on the fault
-/// stream. The scalar path derives them per die; the matrix path hands
-/// in the SoA lane results, which are bit-identical by the batch
-/// equivalence contract.
+/// The clean (fault-free) reference of one die's fault scoring: its
+/// plain outcome on the cell's supply and its mean mismatch. The scalar
+/// oracle scores it per die ([`StudyContext::score_sampled`]); the
+/// engine hands in the SoA lane results, which are bit-identical by the
+/// batch equivalence contract.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct CleanDie {
-    /// The die's global-corner position (σ units).
-    pub corner_units: f64,
+    /// Fixed, clean adaptive (settled word, verdict, energy) and
+    /// dithered scoring.
+    pub outcome: DieOutcome,
     /// The die's mean gate mismatch.
     pub mismatch: GateMismatch,
-    /// Fixed-design spec check at the common commanded word.
-    pub fixed_passes: bool,
-    /// The word the clean compensation walk settles on.
-    pub clean_word: VoltageWord,
-    /// Dithered spec check at the clean sub-LSB settled voltage.
-    pub dithered_passes: bool,
 }
 
 /// Converter-domain droop figures for a run's supply: a regulated
@@ -262,9 +261,54 @@ pub(crate) fn fault_droops(ctx: &StudyContext<'_>) -> (Volts, Volts) {
     }
 }
 
-/// Scores one die with fault injection: the clean reference pieces
-/// (fixed, dithered, clean settled word) plus a cycle-by-cycle faulted
-/// compensation walk. Pure function of the context, plan and stream —
+/// One die's fault schedule: the faults each of its cycles draws. A
+/// pure function of the plan's rates and the die's fault stream —
+/// mitigation changes no draw — so the engine draws it once per
+/// sub-batch for each distinct set of rates.
+pub(crate) type DieSchedule = [CycleFaults; FAULT_CYCLES];
+
+/// Draws one die's schedule from its fault stream.
+pub(crate) fn draw_schedule(plan: FaultPlan, fault_rng: StdRng) -> DieSchedule {
+    let mut stream = FaultSchedule::new(plan, fault_rng);
+    let mut schedule = [CycleFaults::default(); FAULT_CYCLES];
+    for cycle in &mut schedule {
+        *cycle = stream.draw();
+    }
+    schedule
+}
+
+/// True when no cycle of `schedule` droops the rail (no comparator
+/// glitch, no missed PWM edge). The walk reads the supply only through
+/// those two droops, so a droop-free die walks the same trajectory on
+/// every supply of an environment.
+pub(crate) fn is_droop_free(schedule: &DieSchedule) -> bool {
+    !schedule.iter().any(|faults| {
+        matches!(
+            faults.dcdc,
+            Some(DcdcFault::ComparatorGlitch | DcdcFault::MissedPwmEdge)
+        )
+    })
+}
+
+/// The supply-independent result of one die's faulted walk: where the
+/// loop ended and what getting there cost. [`score_trajectory`] scores
+/// the end point on a cell's supply.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Trajectory {
+    /// The final effective word (the register word with any reference
+    /// upset applied); 0 is a collapsed rail.
+    final_eff: VoltageWord,
+    /// Energy spent on recovery actions.
+    recovery: Joules,
+    /// Watchdog fallbacks taken.
+    trips: u32,
+    /// Faults the schedule injected.
+    injected: u64,
+}
+
+/// Scores one die with fault injection: the clean outcome, the
+/// schedule draw, the walk and its scoring — the engine's own pieces,
+/// one die at a time. Pure function of the context, plan and stream —
 /// the scalar oracle the batched engine ([`crate::matrix`]) is pinned
 /// against.
 pub(crate) fn score_faulted_die(
@@ -274,26 +318,16 @@ pub(crate) fn score_faulted_die(
 ) -> FaultDieOutcome {
     let cached = CachedEval::new(ctx.eval.as_ref());
     let die = ctx.variation.sample_die(&mut die_rng);
-    let mismatch = die.mean_gate();
     // Fork the fault stream only after the die sample: a clean die
     // consumes exactly the draws the plain path does.
-    let fault_rng = die_rng.fork("faults");
-
-    // Clean reference pieces, identical to the plain score_die.
-    let (fixed_passes, _) = ctx.passes(&cached, &cached, ctx.fixed_word, mismatch);
-    let clean_word = settled_word(&cached, ctx.sensor, ctx.design_word, ctx.env, mismatch);
-    let dithered_v =
-        settled_voltage_dithered(&cached, ctx.sensor, ctx.design_word, ctx.env, mismatch);
-    let (dithered_passes, _) = ctx.passes_dithered(&cached, &cached, dithered_v, mismatch);
-
+    let schedule = draw_schedule(plan, die_rng.fork("faults"));
+    let mismatch = die.mean_gate();
     let clean = CleanDie {
-        corner_units: die.corner_units(),
+        outcome: ctx.score_sampled(&cached, die.corner_units(), mismatch),
         mismatch,
-        fixed_passes,
-        clean_word,
-        dithered_passes,
     };
-    faulted_walk(ctx, plan, fault_rng, &cached, fault_droops(ctx), &clean)
+    let path = fault_trajectory(ctx, plan.mitigation, &schedule, mismatch, fault_droops(ctx));
+    score_trajectory(ctx, &cached, &clean, &path)
 }
 
 /// The scalar fault-study oracle: [`score_faulted_die`] over the
@@ -317,36 +351,33 @@ pub(crate) fn scalar_fault_summary(
     summary
 }
 
-/// A memoized raw TDC capture (see the capture memo in
-/// [`faulted_walk`]): the sensed word, or which sense error the sensor
-/// returned — enough to replay the walk's handling of it exactly.
+/// A memoized TDC capture (see the capture memo in
+/// [`fault_trajectory`]): the sensed word and its decoded deviation,
+/// or which sense error the sensor returned — enough to replay the
+/// walk's handling of it exactly.
 #[derive(Clone, Copy)]
 enum Capture {
-    Raw(QuantizerWord),
+    Raw { raw: QuantizerWord, dev: i16 },
     Unreliable,
     BandUnusable,
 }
 
-/// The cycle-by-cycle faulted compensation walk over precomputed clean
-/// reference pieces — the fault-stream-dependent tail of
-/// [`score_faulted_die`], with identical arithmetic. `droops` must be
-/// [`fault_droops`] of the same context (hoisted by the matrix path).
+/// The cycle-by-cycle faulted compensation walk of one die over its
+/// schedule, with mitigation on or off. The supply enters only through
+/// `droops` ([`fault_droops`] of the cell) and only on a cycle that
+/// fires a comparator glitch or a missed PWM edge, so the engine walks
+/// a droop-free die once per (environment, plan) for every supply.
 ///
-/// `energy_eval` prices only the final energy leg, the one query that
-/// does not depend on the die. The TDC samples and the final rate leg
-/// are keyed on the die's own mismatch, so a shared memo could only
-/// miss: they go straight to the study evaluator.
-pub(crate) fn faulted_walk(
+/// The TDC samples are keyed on the die's own mismatch, so a shared
+/// memo could only miss: they go straight to the study evaluator.
+pub(crate) fn fault_trajectory(
     ctx: &StudyContext<'_>,
-    plan: FaultPlan,
-    fault_rng: StdRng,
-    energy_eval: &dyn DeviceEval,
+    mitigation: bool,
+    schedule: &DieSchedule,
+    mismatch: GateMismatch,
     droops: (Volts, Volts),
-    clean: &CleanDie,
-) -> FaultDieOutcome {
+) -> Trajectory {
     let eval = ctx.eval.as_ref();
-    let mismatch = clean.mismatch;
-    let mut schedule = FaultSchedule::new(plan, fault_rng);
     let neighbor = ctx.sensor.config().neighbor_range;
     let (glitch_droop, missed_droop) = droops;
 
@@ -361,24 +392,25 @@ pub(crate) fn faulted_walk(
     let mut dog = RailWatchdog::new(WatchdogPolicy::default());
     let mut last_dev: i16 = 0;
 
-    // Raw-capture memo: within one die the capture is a pure function
-    // of (effective word, droop) — band, environment and mismatch are
+    // Capture memo: within one die the capture is a pure function of
+    // (effective word, droop) — band, environment and mismatch are
     // fixed — and the walk revisits the same few operating points
     // across its 24 cycles. The sensor clones its delay line and
     // re-evaluates every gate per sample, so replaying a cached
     // capture removes the walk's dominant cost without touching a bit
     // (per-cycle TDC faults are applied downstream of the raw word).
+    // The entry keeps the decoded deviation too, so only a sample a
+    // TDC fault altered is decoded again.
     let mut captures: Vec<((VoltageWord, u64), Capture)> = Vec::with_capacity(4);
 
-    for _ in 0..FAULT_CYCLES {
-        let faults = schedule.draw();
+    for faults in schedule {
         injected += u64::from(faults.count());
 
         // Controller-domain fault shapes this cycle's commanded word.
         let mut cycle_word = word;
         match faults.ctrl {
             Some(CtrlFault::LutSeu { bit }) => {
-                if plan.mitigation {
+                if mitigation {
                     // End-of-cycle scrub repairs the register from the
                     // shadow copy: the corruption lasts one cycle.
                     cycle_word = word ^ (1 << (bit % 6));
@@ -433,7 +465,10 @@ pub(crate) fn faulted_walk(
                         ctx.env,
                         mismatch,
                     ) {
-                        Ok(raw) => Capture::Raw(raw),
+                        Ok(raw) => Capture::Raw {
+                            raw,
+                            dev: decode_dev(ctx, raw, neighbor),
+                        },
                         Err(SenseError::BandUnusable { .. }) => Capture::BandUnusable,
                         Err(SenseError::Unreliable(_)) => Capture::Unreliable,
                     };
@@ -450,19 +485,19 @@ pub(crate) fn faulted_walk(
                 // path's behaviour); there is no word for a TDC fault
                 // to corrupt.
                 Capture::Unreliable => Some((-neighbor, false)),
-                Capture::Raw(raw) => {
-                    if plan.mitigation {
+                Capture::Raw { raw, dev } => {
+                    // One capture of this cycle's rail, `altered` when
+                    // the TDC fault lands on it.
+                    let read = |altered: bool| match faults.tdc {
+                        Some(f) if altered => decode_dev(ctx, f.apply(raw), neighbor),
+                        _ => dev,
+                    };
+                    if mitigation {
                         // Triple-sample majority vote: a one-shot TDC
                         // fault corrupts only the first capture, a
                         // stuck stage corrupts all three.
-                        let mut votes = [0i16; 3];
-                        for (k, v) in votes.iter_mut().enumerate() {
-                            let sample = match faults.tdc {
-                                Some(f) if k == 0 || f.is_persistent() => f.apply(raw),
-                                _ => raw,
-                            };
-                            *v = decode_dev(ctx, sample, neighbor);
-                        }
+                        let stuck = faults.tdc.is_some_and(|f| f.is_persistent());
+                        let votes = [read(true), read(stuck), read(stuck)];
                         let dev = majority(votes);
                         let disagree = !(votes[0] == votes[1] && votes[1] == votes[2]);
                         // A sudden jump from a quiet signature is
@@ -470,15 +505,14 @@ pub(crate) fn faulted_walk(
                         let jump = (dev - last_dev).abs() >= 2 && last_dev.abs() <= 1;
                         Some((dev, disagree || jump))
                     } else {
-                        let sample = faults.tdc.map_or(raw, |f| f.apply(raw));
-                        Some((decode_dev(ctx, sample, neighbor), false))
+                        Some((read(true), false))
                     }
                 }
             }
         };
 
         if let Some((dev, suspect)) = sensed {
-            if plan.mitigation {
+            if mitigation {
                 // Watchdog sees every raw deviation with the true
                 // register word; a trip falls back to last-known-good
                 // and rewrites the upset-prone registers.
@@ -501,26 +535,46 @@ pub(crate) fn faulted_walk(
         }
     }
 
-    // Score at the final effective operating point (a collapsed rail
-    // scores as the floor word, which cannot meet any rate spec).
-    let final_eff = word ^ ref_seu;
-    let score_word = final_eff.max(1);
-    let (adaptive_passes, adaptive_energy) = ctx.passes(eval, energy_eval, score_word, mismatch);
-    let tracking_error_lsb = f64::from((i16::from(final_eff) - i16::from(clean.clean_word)).abs());
+    Trajectory {
+        final_eff: word ^ ref_seu,
+        recovery,
+        trips,
+        injected,
+    }
+}
+
+/// Scores a trajectory's end point on the cell's supply. A collapsed
+/// rail scores as the floor word, which cannot meet any rate spec. A
+/// walk that ends on the clean word reuses the clean adaptive verdict
+/// instead of pricing the same operating point again. `energy_eval`
+/// prices only the energy leg (the one query that does not depend on
+/// the die); the rate leg goes to the study evaluator.
+pub(crate) fn score_trajectory(
+    ctx: &StudyContext<'_>,
+    energy_eval: &dyn DeviceEval,
+    clean: &CleanDie,
+    path: &Trajectory,
+) -> FaultDieOutcome {
+    let clean_word = clean.outcome.adaptive_word;
+    let score_word = path.final_eff.max(1);
+    let (adaptive_passes, adaptive_energy) = if score_word == clean_word {
+        (clean.outcome.adaptive_passes, clean.outcome.adaptive_energy)
+    } else {
+        ctx.passes(ctx.eval.as_ref(), energy_eval, score_word, clean.mismatch)
+    };
+    let tracking_error_lsb = f64::from((i16::from(path.final_eff) - i16::from(clean_word)).abs());
 
     FaultDieOutcome {
         base: DieOutcome {
-            corner_units: clean.corner_units,
-            fixed_passes: clean.fixed_passes,
             adaptive_passes,
-            dithered_passes: clean.dithered_passes,
-            adaptive_word: final_eff,
+            adaptive_word: path.final_eff,
             adaptive_energy,
+            ..clean.outcome
         },
         tracking_error_lsb,
-        recovery,
-        watchdog_trips: trips,
-        faults_injected: injected,
+        recovery: path.recovery,
+        watchdog_trips: path.trips,
+        faults_injected: path.injected,
     }
 }
 

@@ -11,13 +11,20 @@
 //!
 //! * **once per chunk** — the SoA die draw and the per-die fault-stream
 //!   seeds (depend only on the root seed and the variation model);
+//! * **once per set of fault rates** — each die's 24-cycle fault
+//!   schedule (mitigation changes no draw); with the seed replay this
+//!   is the `shared draw` phase;
 //! * **once per environment group** — the sensor calibration, the
 //!   adaptive word settle and the sub-LSB dither walk (sense the exact
 //!   candidate voltage, so the supply never enters);
+//! * **once per (environment × fault plan)** — the faulted walk of
+//!   every *droop-free* die, one whose schedule fires no comparator
+//!   glitch or missed PWM edge: the walk reads the supply only through
+//!   those two droops;
 //! * **once per (environment × supply) group** — the fixed lane, the
 //!   adaptive cohort lanes and the dithered spec check;
-//! * **once per fault cell** — only the cycle-by-cycle faulted walk
-//!   and the final scoring, over the shared clean pieces.
+//! * **once per fault cell** — the walk of every drooping die, and the
+//!   final scoring of every walk on the cell's supply.
 //!
 //! This is the only batched engine. A standalone
 //! [`StudyConfig::run_summary`] / [`StudyConfig::run_faults`] is a
@@ -30,8 +37,10 @@
 //! stream, and so equals running that cell alone. The shared phases
 //! are pure-function hoists the batch-equivalence suite pins
 //! lane-vs-scalar; the fault-stream seeds are replayed per die exactly
-//! as the scalar path forks them; and no cell's RNG, sense sequence or
-//! fault schedule can observe that other cells exist.
+//! as the scalar path forks them, and the scalar fault oracle runs the
+//! same schedule draw, walk and scoring functions one die at a time;
+//! and no cell's RNG, sense sequence or fault schedule can observe that
+//! other cells exist.
 //! `tests/matrix_equivalence.rs` pins all of it across worker counts,
 //! batch sizes, backends and fault rates.
 //!
@@ -50,13 +59,16 @@ use subvt_digital::lut::VoltageWord;
 use subvt_exec::checkpoint::{
     fingerprint_of, open_matrix_for_resume, CheckpointError, MatrixCheckpointWriter,
 };
-use subvt_exec::{chunk_count, try_par_fold_commit_multi, ExecHooks};
+use subvt_exec::{chunk_count, try_par_fold_commit, ExecHooks};
 use subvt_faults::FaultPlan;
 use subvt_rng::{Rng, StdRng};
 use subvt_tdc::sensor::VariationSensor;
 
 use crate::batch::{ChunkSeeds, DieBatch};
-use crate::fault_study::{fault_droops, faulted_walk, CleanDie, FaultStudySummary};
+use crate::fault_study::{
+    draw_schedule, fault_droops, fault_trajectory, is_droop_free, score_trajectory, CleanDie,
+    DieSchedule, FaultStudySummary, Trajectory,
+};
 use crate::profile::{record_phase, record_sub_batch, Phase};
 use crate::study::{StudyConfig, StudyError, SupplyBackendKind};
 use crate::yield_study::{calibrated_sensor, StudyContext, SupplySim, YieldSummary};
@@ -173,10 +185,14 @@ struct SupplyGroup {
 }
 
 /// The supply groups of one environment group: they share the settle
-/// and dither walks.
+/// and dither walks, and per fault plan the walk of every droop-free
+/// die.
 struct CornerGroup {
     lead: usize,
     supplies: Vec<SupplyGroup>,
+    /// The distinct plans of the group's fault cells, each with the
+    /// index of its rates in [`MatrixGroups::rates`].
+    plans: Vec<(FaultPlan, usize)>,
 }
 
 /// The sharing structure of a matrix: cells grouped by *model
@@ -184,11 +200,26 @@ struct CornerGroup {
 /// values their phases read are equal.
 struct MatrixGroups {
     corners: Vec<CornerGroup>,
+    /// The distinct rates of the fault cells, mitigation set aside (it
+    /// changes no draw): one schedule draw each per sub-batch.
+    rates: Vec<FaultPlan>,
+    /// Per cell: a fault cell's index into its corner group's `plans`.
+    plan_slots: Vec<Option<usize>>,
+}
+
+/// The index of `item` in `items`, appending it when absent.
+fn slot_of<T: PartialEq>(items: &mut Vec<T>, item: T) -> usize {
+    items.iter().position(|x| *x == item).unwrap_or_else(|| {
+        items.push(item);
+        items.len() - 1
+    })
 }
 
 impl MatrixGroups {
     fn build(cells: &[ResolvedCell]) -> MatrixGroups {
         let mut corners: Vec<CornerGroup> = Vec::new();
+        let mut rates: Vec<FaultPlan> = Vec::new();
+        let mut plan_slots = Vec::with_capacity(cells.len());
         for (i, cell) in cells.iter().enumerate() {
             let corner = match corners.iter_mut().find(|g| cells[g.lead].env == cell.env) {
                 Some(g) => g,
@@ -196,6 +227,7 @@ impl MatrixGroups {
                     corners.push(CornerGroup {
                         lead: i,
                         supplies: Vec::new(),
+                        plans: Vec::new(),
                     });
                     corners.last_mut().expect("just pushed")
                 }
@@ -211,8 +243,16 @@ impl MatrixGroups {
                     members: vec![i],
                 }),
             }
+            plan_slots.push(cell.faults.map(|plan| {
+                let rate_slot = slot_of(&mut rates, plan.with_mitigation(true));
+                slot_of(&mut corner.plans, (plan, rate_slot))
+            }));
         }
-        MatrixGroups { corners }
+        MatrixGroups {
+            corners,
+            rates,
+            plan_slots,
+        }
     }
 }
 
@@ -232,8 +272,11 @@ fn fold_matrix_chunk(
 ) {
     let batch = batch.max(1);
     let mut scratch = DieBatch::with_capacity(batch.min(seeds.len().max(1)));
-    let any_faults = cells.iter().any(|c| c.faults.is_some());
-    let mut fault_seeds: Vec<u64> = Vec::with_capacity(if any_faults { batch } else { 0 });
+    let mut fault_seeds: Vec<u64> = Vec::new();
+    // Each die's schedule per set of rates, and each droop-free die's
+    // trajectory per plan of the current environment group.
+    let mut schedules: Vec<Vec<DieSchedule>> = vec![Vec::new(); groups.rates.len()];
+    let mut shared_walks: Vec<Vec<Option<Trajectory>>> = Vec::new();
     let mut lo = 0;
     while lo < seeds.len() {
         let hi = (lo + batch).min(seeds.len());
@@ -244,18 +287,26 @@ fn fold_matrix_chunk(
         let t0 = Instant::now();
         scratch.draw(&ctxs[0], sub);
         record_phase(Phase::Draw, t0.elapsed().as_nanos() as u64);
-        // The per-die fault-stream seeds, when a fault cell needs them.
+        // The per-die fault schedules, when a fault cell needs them.
         // The scalar replay advances each die stream exactly as the
         // scalar path does (sample, then fork), so
         // `seed_from_u64(fault_seeds[k])` *is* the stream
         // `die_rng.fork("faults")` hands the scalar walk.
-        if any_faults {
+        if !groups.rates.is_empty() {
             let t0 = Instant::now();
             fault_seeds.clear();
             for &seed in sub {
                 let mut die_rng = StdRng::seed_from_u64(seed);
                 ctxs[0].variation.sample_die(&mut die_rng);
                 fault_seeds.push(die_rng.fork_seed("faults"));
+            }
+            for (rates, dies) in groups.rates.iter().zip(&mut schedules) {
+                dies.clear();
+                dies.extend(
+                    fault_seeds
+                        .iter()
+                        .map(|&seed| draw_schedule(*rates, StdRng::seed_from_u64(seed))),
+                );
             }
             record_phase(Phase::SharedDraw, t0.elapsed().as_nanos() as u64);
         }
@@ -268,6 +319,29 @@ fn fold_matrix_chunk(
             let t0 = Instant::now();
             scratch.dither_walk(cctx);
             record_phase(Phase::Dither, t0.elapsed().as_nanos() as u64);
+
+            // A droop-free die walks the same trajectory on every
+            // supply of the group: walk it once per plan. (The droop
+            // figures passed here are never read.)
+            if !corner.plans.is_empty() {
+                let t0 = Instant::now();
+                shared_walks.resize_with(corner.plans.len(), Vec::new);
+                for (walks, &(plan, rates)) in shared_walks.iter_mut().zip(&corner.plans) {
+                    walks.clear();
+                    walks.extend(schedules[rates].iter().enumerate().map(|(k, schedule)| {
+                        is_droop_free(schedule).then(|| {
+                            fault_trajectory(
+                                cctx,
+                                plan.mitigation,
+                                schedule,
+                                scratch.mismatch(k),
+                                droops[corner.lead],
+                            )
+                        })
+                    }));
+                }
+                record_phase(Phase::FaultWalk, t0.elapsed().as_nanos() as u64);
+            }
 
             for group in &corner.supplies {
                 let sctx = &ctxs[group.lead];
@@ -294,25 +368,24 @@ fn fold_matrix_chunk(
                         }
                         (Some(plan), CellSummary::Faults(acc)) => {
                             let t0 = Instant::now();
-                            let seeds = fault_seeds.iter().enumerate().take(scratch.len());
-                            for (k, &fault_seed) in seeds {
-                                let out = scratch.outcome(k);
+                            let slot = groups.plan_slots[ci].expect("a fault cell has a plan");
+                            let schedules = &schedules[corner.plans[slot].1];
+                            for (k, walk) in shared_walks[slot].iter().enumerate() {
                                 let clean = CleanDie {
-                                    corner_units: out.corner_units,
+                                    outcome: scratch.outcome(k),
                                     mismatch: scratch.mismatch(k),
-                                    fixed_passes: out.fixed_passes,
-                                    clean_word: out.adaptive_word,
-                                    dithered_passes: out.dithered_passes,
                                 };
-                                let die = faulted_walk(
-                                    sctx,
-                                    plan,
-                                    StdRng::seed_from_u64(fault_seed),
-                                    &cached,
-                                    droops[ci],
-                                    &clean,
-                                );
-                                acc.absorb(&die);
+                                // A drooping die walks on this cell's supply.
+                                let path = walk.unwrap_or_else(|| {
+                                    fault_trajectory(
+                                        sctx,
+                                        plan.mitigation,
+                                        &schedules[k],
+                                        clean.mismatch,
+                                        droops[ci],
+                                    )
+                                });
+                                acc.absorb(&score_trajectory(sctx, &cached, &clean, &path));
                             }
                             record_phase(Phase::FaultWalk, t0.elapsed().as_nanos() as u64);
                         }
@@ -566,20 +639,23 @@ pub(crate) fn run_cells(
         cancel: base.cancel,
         progress: base.progress,
     };
-    let mut result = try_par_fold_commit_multi(
+    let mut result = try_par_fold_commit(
         &base.exec,
         base.dies,
         start_chunk,
         &hooks,
-        cells.len(),
-        |cell| CellSummary::empty_for(&cells[cell]),
+        || cells.iter().map(CellSummary::empty_for).collect::<Vec<_>>(),
         start,
         |accs, range| {
             let chunk_seeds = seeds.for_range(range);
             fold_matrix_chunk(cells, &ctxs, &droops, &groups, batch, &chunk_seeds, accs);
         },
-        |_cell, acc, part| acc.merge(part),
-        |chunks_done, accs: &[CellSummary]| match &mut writer {
+        |accs, parts| {
+            for (acc, part) in accs.iter_mut().zip(parts) {
+                acc.merge(part);
+            }
+        },
+        |chunks_done, accs| match &mut writer {
             Some(w) => {
                 let states: Vec<Vec<u8>> = accs.iter().map(CellSummary::encode_state).collect();
                 w.append(chunks_done as u64, &states)
@@ -642,25 +718,27 @@ mod tests {
         assert_eq!(fused[0], fused[1]);
     }
 
-    #[test]
-    fn grouping_shares_by_model_equality() {
-        let hot = Environment::nominal().with_celsius(65.0);
-        let cells = [
-            (SupplyBackendKind::Buck, Environment::nominal()),
-            (SupplyBackendKind::Dldo, Environment::nominal()),
-            (SupplyBackendKind::Buck, hot),
-            (SupplyBackendKind::Buck, Environment::nominal()),
-        ];
-        let resolved: Vec<ResolvedCell> = cells
+    fn resolve(cells: &[(SupplyBackendKind, Environment, Option<FaultPlan>)]) -> Vec<ResolvedCell> {
+        cells
             .iter()
-            .map(|&(supply, env)| ResolvedCell {
+            .map(|&(supply, env, faults)| ResolvedCell {
                 sim: supply.build_sim(Default::default()),
                 tag: supply.label().to_owned(),
                 env,
-                faults: None,
+                faults,
             })
-            .collect();
-        let groups = MatrixGroups::build(&resolved);
+            .collect()
+    }
+
+    #[test]
+    fn grouping_shares_by_model_equality() {
+        let hot = Environment::nominal().with_celsius(65.0);
+        let groups = MatrixGroups::build(&resolve(&[
+            (SupplyBackendKind::Buck, Environment::nominal(), None),
+            (SupplyBackendKind::Dldo, Environment::nominal(), None),
+            (SupplyBackendKind::Buck, hot, None),
+            (SupplyBackendKind::Buck, Environment::nominal(), None),
+        ]));
         assert_eq!(groups.corners.len(), 2, "two distinct environments");
         let nominal = &groups.corners[0];
         assert_eq!(nominal.supplies.len(), 2, "buck and dldo at nominal");
@@ -670,6 +748,37 @@ mod tests {
             "duplicate buck cells share"
         );
         assert_eq!(groups.corners[1].supplies.len(), 1);
+        assert!(groups.rates.is_empty(), "no fault cell, no schedule draw");
+    }
+
+    #[test]
+    fn fault_cells_share_draws_by_rates_and_walks_by_corner_and_plan() {
+        let hot = Environment::nominal().with_celsius(65.0);
+        let low = FaultPlan::uniform(0.02);
+        let high = FaultPlan::uniform(0.25);
+        let unmitigated = high.with_mitigation(false);
+        let groups = MatrixGroups::build(&resolve(&[
+            (SupplyBackendKind::Buck, Environment::nominal(), Some(high)),
+            (
+                SupplyBackendKind::Dldo,
+                Environment::nominal(),
+                Some(unmitigated),
+            ),
+            (SupplyBackendKind::Dlr, Environment::nominal(), Some(high)),
+            (SupplyBackendKind::Buck, hot, Some(low)),
+            (SupplyBackendKind::Buck, hot, None),
+        ]));
+        assert_eq!(
+            groups.rates,
+            vec![high, low],
+            "mitigation never splits a draw"
+        );
+        assert_eq!(groups.corners[0].plans, vec![(high, 0), (unmitigated, 0)]);
+        assert_eq!(groups.corners[1].plans, vec![(low, 1)]);
+        assert_eq!(
+            groups.plan_slots,
+            vec![Some(0), Some(1), Some(0), Some(0), None]
+        );
     }
 
     #[test]

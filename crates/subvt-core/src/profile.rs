@@ -4,7 +4,8 @@
 //! [`crate::batch`]) runs five phases per sub-batch — die draw,
 //! fixed-design lane, adaptive word settle, adaptive cohort lanes,
 //! dither settle — plus, when a fault cell exists, the fault-stream
-//! seed replay and each fault cell's walk; the SIMD work lands
+//! seed replay with the schedule draw, and the faulted walks; the SIMD
+//! work lands
 //! unevenly across them. These counters attribute the wall time so a
 //! speed-up claim can name the phase it came from, the same way
 //! `subvt-device`'s [`subvt_device::tabulate`] metrics attribute the
@@ -31,8 +32,8 @@ static SUB_BATCHES: AtomicU64 = AtomicU64::new(0);
 /// The phases of the batched scoring pipeline. The first five run on
 /// every study; the last two run only when the study has a fault cell
 /// (a standalone fault study is one): the per-die fault-stream seed
-/// replay every fault cell shares (`SharedDraw`) and each fault cell's
-/// cycle-by-cycle walk (`FaultWalk`).
+/// replay and schedule draw every fault cell shares (`SharedDraw`) and
+/// the cycle-by-cycle walks with their scoring (`FaultWalk`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
     /// Monte-Carlo die draw into the SoA lanes (once for all cells).
@@ -45,10 +46,13 @@ pub enum Phase {
     AdaptiveLanes,
     /// Sub-LSB dither settle and dithered spec check.
     Dither,
-    /// Per-die fault-stream seed replay, shared by every fault cell;
+    /// Per-die fault-stream seed replay and 24-cycle schedule draw
+    /// (once per set of fault rates), shared by every fault cell;
     /// timed only when a fault cell exists.
     SharedDraw,
-    /// The per-fault-cell cycle-by-cycle walks.
+    /// The cycle-by-cycle faulted walks — once per (environment, plan)
+    /// for a droop-free die, per fault cell otherwise — and their
+    /// scoring on each fault cell's supply.
     FaultWalk,
 }
 

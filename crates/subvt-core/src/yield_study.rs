@@ -491,18 +491,28 @@ impl<'a> StudyContext<'a> {
     /// operating points; memoization cannot change results.
     pub(crate) fn score_die(&self, mut die_rng: StdRng) -> DieOutcome {
         let die = self.variation.sample_die(&mut die_rng);
-        let mismatch = die.mean_gate();
         let cached = CachedEval::new(self.eval.as_ref());
-        let (fixed_passes, _) = self.passes(&cached, &cached, self.fixed_word, mismatch);
-        let adaptive_word =
-            settled_word(&cached, self.sensor, self.design_word, self.env, mismatch);
+        self.score_sampled(&cached, die.corner_units(), die.mean_gate())
+    }
+
+    /// Scores a sampled die (its corner position and mean mismatch)
+    /// with every query through `cached` — the body of
+    /// [`StudyContext::score_die`], which the fault oracle shares.
+    pub(crate) fn score_sampled(
+        &self,
+        cached: &dyn DeviceEval,
+        corner_units: f64,
+        mismatch: GateMismatch,
+    ) -> DieOutcome {
+        let (fixed_passes, _) = self.passes(cached, cached, self.fixed_word, mismatch);
+        let adaptive_word = settled_word(cached, self.sensor, self.design_word, self.env, mismatch);
         let (adaptive_passes, adaptive_energy) =
-            self.passes(&cached, &cached, adaptive_word, mismatch);
+            self.passes(cached, cached, adaptive_word, mismatch);
         let dithered_v =
-            settled_voltage_dithered(&cached, self.sensor, self.design_word, self.env, mismatch);
-        let (dithered_passes, _) = self.passes_dithered(&cached, &cached, dithered_v, mismatch);
+            settled_voltage_dithered(cached, self.sensor, self.design_word, self.env, mismatch);
+        let (dithered_passes, _) = self.passes_dithered(cached, cached, dithered_v, mismatch);
         DieOutcome {
-            corner_units: die.corner_units(),
+            corner_units,
             fixed_passes,
             adaptive_passes,
             dithered_passes,

@@ -11,9 +11,10 @@
 //!
 //! ## File format (version 2, little-endian throughout)
 //!
-//! A study folds one die stream into N per-cell accumulators
-//! ([`try_par_fold_commit_multi`]); a standalone study is the one-cell
-//! case. Each record carries the N state blobs side by side:
+//! A study folds one die stream into N per-cell accumulators (one
+//! [`try_par_fold_commit`](crate::try_par_fold_commit) run whose
+//! accumulator holds a state per cell); a standalone study is the
+//! one-cell case. Each record carries the N state blobs side by side:
 //!
 //! ```text
 //! header:  magic  b"SVCP"       4 bytes
@@ -46,8 +47,6 @@
 //! separate standalone-study pipeline. It is retired: a version-1
 //! file fails with [`CheckpointError::BadVersion`]`(1)`, whose message
 //! says to rerun the study.
-//!
-//! [`try_par_fold_commit_multi`]: crate::try_par_fold_commit_multi
 
 use std::fs::{File, OpenOptions};
 use std::io::Write as _;

@@ -74,7 +74,7 @@ pub use cancel::{CancelToken, Cancelled, Progress};
 pub use config::{ExecConfig, JOBS_ENV};
 pub use scheduler::{
     chunk_count, chunk_len, par_fold_chunked, par_map_indexed, try_par_fold_chunked,
-    try_par_fold_commit, try_par_fold_commit_multi, try_par_map_indexed, FoldError,
+    try_par_fold_commit, try_par_map_indexed, FoldError,
 };
 pub use stats::{QuantileSketch, Welford};
 

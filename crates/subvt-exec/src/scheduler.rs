@@ -388,67 +388,6 @@ where
     })
 }
 
-/// The multi-fold committing engine: [`try_par_fold_commit`] carrying
-/// one accumulator **per cell** through a single pass over the index
-/// range, for runs that score the same population against N
-/// configurations at once (study matrices).
-///
-/// Each chunk folds its range into a fresh vector of per-cell states
-/// (`init(cell)` for `cell` in `0..cells`); the calling thread merges
-/// chunk vectors into `seed` element-wise — `merge(cell, &mut
-/// acc[cell], part[cell])` in cell order — in ascending chunk order,
-/// then invokes `on_commit(chunks_done, &accs)` with every cell's
-/// state. One index-ordered merge sequence drives all cells, so every
-/// cell inherits the [`try_par_fold_commit`] determinism contract
-/// individually: for a fixed `n`, any worker count and any resume
-/// point produce bit-identical per-cell states.
-///
-/// # Panics
-///
-/// Panics if `seed.len() != cells`, if `start_chunk >
-/// chunk_count(n)`, and propagates panics from `fold`.
-///
-/// # Errors
-///
-/// As [`try_par_fold_commit`].
-#[allow(clippy::too_many_arguments)]
-pub fn try_par_fold_commit_multi<A, I, F, M, C, E>(
-    cfg: &ExecConfig,
-    n: usize,
-    start_chunk: usize,
-    hooks: &ExecHooks<'_>,
-    cells: usize,
-    init: I,
-    seed: Vec<A>,
-    fold: F,
-    merge: M,
-    mut on_commit: C,
-) -> Result<Vec<A>, FoldError<E>>
-where
-    A: Send,
-    I: Fn(usize) -> A + Sync,
-    F: Fn(&mut [A], std::ops::Range<usize>) + Sync,
-    M: Fn(usize, &mut A, A),
-    C: FnMut(usize, &[A]) -> Result<(), E>,
-{
-    assert_eq!(seed.len(), cells, "one seed state per cell");
-    try_par_fold_commit(
-        cfg,
-        n,
-        start_chunk,
-        hooks,
-        || (0..cells).map(&init).collect::<Vec<A>>(),
-        seed,
-        |accs: &mut Vec<A>, range| fold(accs, range),
-        |accs: &mut Vec<A>, parts: Vec<A>| {
-            for (cell, (acc, part)) in accs.iter_mut().zip(parts).enumerate() {
-                merge(cell, acc, part);
-            }
-        },
-        |chunks_done, accs: &Vec<A>| on_commit(chunks_done, accs),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -627,9 +566,11 @@ mod tests {
         assert!(none.is_empty());
     }
 
-    /// Multi-fold under test: cell `c` accumulates an order-sensitive
-    /// float sum scaled by `c + 1`, so cross-cell mixups and sequencing
-    /// deviations both show up in the bits.
+    /// A per-cell fold under test, the shape the study engine uses: a
+    /// `Vec` accumulator with one slot per cell, merged element-wise.
+    /// Cell `c` accumulates an order-sensitive float sum scaled by
+    /// `c + 1`, so cross-cell mixups and sequencing deviations both
+    /// show up in the bits.
     fn multi_commit_sum(
         jobs: usize,
         n: usize,
@@ -638,13 +579,12 @@ mod tests {
         commits: &mut Vec<(usize, Vec<f64>)>,
     ) -> Vec<f64> {
         let cells = seed.len();
-        try_par_fold_commit_multi(
+        try_par_fold_commit(
             &ExecConfig::with_jobs(jobs),
             n,
             start_chunk,
             &ExecHooks::default(),
-            cells,
-            |_cell| 0.0f64,
+            || vec![0.0f64; cells],
             seed,
             |accs, range| {
                 for i in range {
@@ -653,9 +593,13 @@ mod tests {
                     }
                 }
             },
-            |_cell, acc, part| *acc += part,
-            |done, accs: &[f64]| {
-                commits.push((done, accs.to_vec()));
+            |accs, parts| {
+                for (acc, part) in accs.iter_mut().zip(parts) {
+                    *acc += part;
+                }
+            },
+            |done, accs| {
+                commits.push((done, accs.clone()));
                 Ok::<(), std::convert::Infallible>(())
             },
         )

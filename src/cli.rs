@@ -985,8 +985,8 @@ FLAGS:
     --profile-phases     append the batched hot path's per-phase wall
                          time (die draw, fixed lane, word settle,
                          adaptive lanes, dither settle, plus the
-                         fault-seed replay and fault walk when a
-                         fault cell runs)
+                         fault-seed replay and schedule draw and
+                         the fault walk when a fault cell runs)
                          to the report — pure observation, results
                          unchanged
     --profile-phases-json <file>    write the same per-phase profile

@@ -174,8 +174,10 @@ fn crate_source(rel: &str) -> String {
 #[test]
 fn the_second_batch_pipeline_and_checkpoint_v1_stay_deleted() {
     // One scoring engine: a standalone study is a one-cell matrix, so
-    // the standalone folds, the caller-owned-generator terminals and
-    // the single-cell checkpoint format were deleted, not hidden.
+    // the standalone folds, the caller-owned-generator terminals, the
+    // single-cell checkpoint format and the per-cell fold wrapper (the
+    // engine's accumulator is a `Vec` of cell states) were deleted,
+    // not hidden.
     let core = [
         "fn summary_fold(",
         "fn faults_fold(",
@@ -188,6 +190,7 @@ fn the_second_batch_pipeline_and_checkpoint_v1_stay_deleted() {
         "pub struct CheckpointWriter",
         "fn read_checkpoint(",
         "fn open_for_resume(",
+        "fn try_par_fold_commit_multi",
     ];
     for (rel, needles) in [
         ("crates/subvt-core/src", &core[..]),

@@ -3,9 +3,10 @@
 //! on the fused engine, and the rendered reports are byte-stable
 //! against runtime knobs.
 //!
-//! The full-size corpus (500-die shoot-out) regenerates in CI from the
-//! release binary and is diffed byte-for-byte against
-//! `docs/results/`; these tests pin the mechanics at small die counts.
+//! The full-size corpus (500-die shoot-out) regenerates here and is
+//! diffed byte-for-byte against `docs/results/`, as CI also does from
+//! the release binary; the other tests pin the mechanics at small die
+//! counts.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -130,6 +131,43 @@ fn suite_runs_a_corpus_and_is_jobs_invariant() {
         outputs.push((txt, json));
     }
     assert_eq!(outputs[0], outputs[1], "report bytes drift with --jobs");
+}
+
+/// The golden corpus at its committed size reproduces the committed
+/// reports byte for byte: every `docs/scenarios/*.toml` renders the
+/// `docs/results/` text and JSON of the same name. The fault cells run
+/// the same walk code as the scalar oracle, so this is the walk's
+/// end-to-end oracle too.
+#[test]
+fn the_golden_corpus_reproduces_the_committed_results() {
+    let scratch = Scratch::new("golden");
+    let corpus = repo_path("docs/scenarios");
+    let summary = parse(&[
+        "suite",
+        &corpus.to_string_lossy(),
+        "--out",
+        &scratch.str(""),
+    ])
+    .run()
+    .expect("golden corpus runs");
+    let mut compared = 0;
+    for entry in fs::read_dir(&corpus).expect("docs/scenarios") {
+        let path = entry.expect("dir entry").path();
+        if path.extension().is_none_or(|e| e != "toml") {
+            continue;
+        }
+        let stem = path.file_stem().expect("file stem").to_string_lossy();
+        for ext in ["txt", "json"] {
+            let name = format!("{stem}.{ext}");
+            let got = fs::read_to_string(scratch.path(&name))
+                .unwrap_or_else(|e| panic!("{name} not written ({e}): {summary}"));
+            let want = fs::read_to_string(repo_path(&format!("docs/results/{name}")))
+                .unwrap_or_else(|e| panic!("docs/results/{name}: {e}"));
+            assert_eq!(got, want, "{name} drifted from docs/results/{name}");
+            compared += 1;
+        }
+    }
+    assert!(compared >= 6, "golden corpus shrank to {compared} reports");
 }
 
 /// Without `--out`, a single-file suite prints the text report itself.
