@@ -14,9 +14,10 @@
 //!
 //! Every leg carries a `dies/s` throughput figure (`items_per_sec` in
 //! the report), and the mega leg's per-phase wall-time profile (die
-//! draw / fixed lane / word settle / adaptive lanes / dither settle)
-//! is printed and dumped to `PROFILE_fleet.txt` next to the report, so
-//! a single bench run shows where the hot path spends its time.
+//! draw / fixed lane / word settle / adaptive lanes / dither settle /
+//! dither check) is printed and dumped to `PROFILE_fleet.txt` next to
+//! the report, so a single bench run shows where the hot path spends
+//! its time.
 //!
 //! On a host with ≥ 4 cores (and outside quick mode) the bench
 //! *asserts* two claims:

@@ -31,7 +31,7 @@ use subvt_exec::chunk_len;
 use subvt_rng::{Jump, Rng, StdRng};
 use subvt_tdc::sensor::{word_voltage, SenseError};
 
-use crate::yield_study::{DieOutcome, StudyContext, SupplySim};
+use crate::yield_study::{DieOutcome, StudyContext};
 
 /// The per-die seed stream in `O(chunks)` memory.
 ///
@@ -96,23 +96,6 @@ impl<'l> ChunkSeeds<'l> {
     }
 }
 
-/// The rate/energy evaluation voltages for a commanded word — the same
-/// split [`StudyContext::passes`] makes (trough for rate, mean for
-/// energy on a switched supply; the exact word voltage on an ideal
-/// rail).
-fn word_voltages(ctx: &StudyContext<'_>, word: VoltageWord) -> (Volts, Volts) {
-    match ctx.supply {
-        SupplySim::Ideal => {
-            let v = word_voltage(word);
-            (v, v)
-        }
-        SupplySim::Regulated(model) => {
-            let op = model.point(word);
-            (op.v_min, op.v_mean)
-        }
-    }
-}
-
 /// Spec-checks one lane of dies at a common commanded word: the energy
 /// leg (die-independent) is evaluated once through `energy_eval`, the
 /// rate leg runs as a critical-path lane. Writes the per-die pass flag
@@ -126,20 +109,16 @@ fn lane_passes(
     delays: &mut [Seconds],
     pass: &mut [bool],
 ) -> Joules {
-    let (v_rate, v_energy) = word_voltages(ctx, word);
-    let energy = ctx
-        .load
-        .energy_per_op_with(energy_eval, v_energy, ctx.env)
-        .map(|e| e.total())
-        .unwrap_or(Joules(f64::INFINITY));
-    let energy_ok = energy.value() <= ctx.spec.max_energy_per_op.value();
+    let (v_rate, v_energy) = ctx.word_point(word);
+    let energy = ctx.energy_at(energy_eval, v_energy);
+    let energy_ok = ctx.meets_energy(energy);
     match ctx
         .load
         .critical_path_lane(ctx.eval.as_ref(), v_rate, ctx.env, mismatches, delays)
     {
         Ok(()) => {
             for (t, p) in delays.iter().zip(pass.iter_mut()) {
-                *p = energy_ok && t.to_frequency().value() >= ctx.spec.min_rate.value();
+                *p = energy_ok && ctx.meets_rate(*t);
             }
         }
         // The lane error is die-independent (supply below the floor):
@@ -181,6 +160,10 @@ pub(crate) struct DieBatch {
     voltages: Vec<Volts>,
     group_v: Vec<Volts>,
     frac_out: Vec<Result<f64, SenseError>>,
+    // Dithered-check scratch: each die's energy voltage and rate-leg
+    // critical path.
+    energy_v: Vec<Volts>,
+    paths: Vec<Option<Seconds>>,
 }
 
 impl DieBatch {
@@ -205,6 +188,8 @@ impl DieBatch {
             voltages: Vec::with_capacity(batch),
             group_v: Vec::with_capacity(batch),
             frac_out: Vec::with_capacity(batch),
+            energy_v: Vec::with_capacity(batch),
+            paths: Vec::with_capacity(batch),
         }
     }
 
@@ -273,7 +258,7 @@ impl DieBatch {
     pub(crate) fn settle_words(&mut self, ctx: &StudyContext<'_>) {
         let n = self.len();
         // The settle lanes go straight to the study evaluator: every
-        // iteration visits a fresh operating point, so the per-batch
+        // iteration visits a fresh operating point, so the chunk's
         // memo (pure, and kept for the energy legs) would only add
         // lookups — bypassing it cannot change a bit.
         let eval = ctx.eval.as_ref();
@@ -383,7 +368,7 @@ impl DieBatch {
         }
     }
 
-    /// Phase E (walk): the sub-LSB dither settle, in lockstep — every
+    /// Phase E: the sub-LSB dither settle walk, in lockstep — every
     /// die walks its own continuous voltage, so the rounds lane over
     /// the per-die-supply fused kernel instead of a common word.
     /// Per die the update sequence is exactly
@@ -437,16 +422,36 @@ impl DieBatch {
         }
     }
 
-    /// Phase E (check): the dithered spec check at each die's settled
-    /// voltage. Depends on the corner and the supply. The rate leg
-    /// goes straight to the study evaluator: its key carries the die's
-    /// own (voltage, mismatch), so the memo could only miss. The
+    /// Phase F: the dithered spec check at each die's settled voltage,
+    /// as a lane. Depends on the corner and the supply. The rate leg
+    /// runs every die at its own voltage through the load's
+    /// per-die-supply kernel on the study evaluator: its key carries the
+    /// die's own (voltage, mismatch), so the memo could only miss. The
     /// energy leg depends only on the voltage and stays on `cached`.
+    /// Per die the verdict is exactly
+    /// [`StudyContext::passes_dithered`]'s.
     pub(crate) fn dither_check(&mut self, ctx: &StudyContext<'_>, cached: &dyn DeviceEval) {
-        let eval = ctx.eval.as_ref();
-        for k in 0..self.len() {
-            let (pass, _) = ctx.passes_dithered(eval, cached, self.voltages[k], self.mismatches[k]);
-            self.dithered_pass[k] = pass;
+        let n = self.len();
+        self.group_v.clear();
+        self.energy_v.clear();
+        for &v in &self.voltages[..n] {
+            let (v_rate, v_energy) = ctx.dithered_point(v);
+            self.group_v.push(v_rate);
+            self.energy_v.push(v_energy);
+        }
+        self.paths.clear();
+        self.paths.resize(n, None);
+        ctx.load.critical_path_multi(
+            ctx.eval.as_ref(),
+            &self.group_v,
+            ctx.env,
+            &self.mismatches,
+            &mut self.paths,
+        );
+        for k in 0..n {
+            let rate_ok = self.paths[k].is_some_and(|t| ctx.meets_rate(t));
+            let energy = ctx.energy_at(cached, self.energy_v[k]);
+            self.dithered_pass[k] = rate_ok && ctx.meets_energy(energy);
         }
     }
 
@@ -465,7 +470,70 @@ impl DieBatch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::study::{StudyConfig, SupplyBackendKind};
+    use crate::yield_study::{calibrated_sensor, die_seeds};
     use std::collections::HashSet;
+    use subvt_device::mosfet::Environment;
+    use subvt_device::tabulate::CachedEval;
+
+    #[test]
+    fn dither_check_lane_matches_per_die_passes_dithered() {
+        // The lane check against the scalar verdict die by die, at the
+        // walked voltages and at a sweep that crosses the supply floor
+        // (the rate leg's per-die `None`) and both sides of the spec,
+        // on every supply rail.
+        let base = StudyConfig::new(1, 2009);
+        let eval = base.resolved_eval();
+        let env = Environment::nominal();
+        let sensor = calibrated_sensor(&eval, env);
+        let seeds = die_seeds(2009, 67);
+        for kind in [
+            SupplyBackendKind::Ideal,
+            SupplyBackendKind::Buck,
+            SupplyBackendKind::Dldo,
+            SupplyBackendKind::Dlr,
+        ] {
+            let sim = kind.build_sim(base.solver);
+            let ctx = StudyContext::new(
+                eval.clone(),
+                base.load.as_dyn(),
+                env,
+                &base.variation,
+                base.spec,
+                base.fixed_word,
+                base.design_word,
+                &sensor,
+                &sim,
+            );
+            let mut batch = DieBatch::with_capacity(seeds.len());
+            batch.draw(&ctx, &seeds);
+            batch.dither_walk(&ctx);
+            let walked = batch.voltages.clone();
+            let sweep: Vec<Volts> = (0..seeds.len())
+                .map(|k| Volts(0.05 + 0.005 * k as f64))
+                .collect();
+            let mut verdicts = HashSet::new();
+            let mut below_floor = 0;
+            for voltages in [walked, sweep] {
+                batch.voltages = voltages;
+                let cached = CachedEval::new(eval.as_ref());
+                batch.dither_check(&ctx, &cached);
+                for k in 0..batch.len() {
+                    let (want, _) = ctx.passes_dithered(
+                        eval.as_ref(),
+                        eval.as_ref(),
+                        batch.voltages[k],
+                        batch.mismatches[k],
+                    );
+                    assert_eq!(batch.dithered_pass[k], want, "{} die {k}", kind.label());
+                    verdicts.insert(want);
+                }
+                below_floor += batch.paths.iter().filter(|t| t.is_none()).count();
+            }
+            assert_eq!(verdicts.len(), 2, "{}: passes and fails", kind.label());
+            assert!(below_floor > 0, "{}: no die below the floor", kind.label());
+        }
+    }
 
     /// Serial reference for [`ChunkSeeds::new`]: walk the parent
     /// die by die with the real `fork_seed` labels, snapshotting its

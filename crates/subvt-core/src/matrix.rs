@@ -22,7 +22,8 @@
 //!   glitch or missed PWM edge: the walk reads the supply only through
 //!   those two droops;
 //! * **once per (environment × supply) group** — the fixed lane, the
-//!   adaptive cohort lanes and the dithered spec check;
+//!   adaptive cohort lanes and the dithered spec check, with one
+//!   operating-point memo per chunk for their energy legs;
 //! * **once per fault cell** — the walk of every drooping die, and the
 //!   final scoring of every walk on the cell's supply.
 //!
@@ -277,6 +278,21 @@ fn fold_matrix_chunk(
     // trajectory per plan of the current environment group.
     let mut schedules: Vec<Vec<DieSchedule>> = vec![Vec::new(); groups.rates.len()];
     let mut shared_walks: Vec<Vec<Option<Trajectory>>> = Vec::new();
+    // One operating-point memo per (environment × supply) group for the
+    // whole chunk: pure memoization of the energy legs the group's lanes
+    // and fault walks share. Its keys never depend on the die, so it
+    // holds at most the group's distinct words and settled voltages.
+    let memos: Vec<Vec<CachedEval<'_>>> = groups
+        .corners
+        .iter()
+        .map(|corner| {
+            corner
+                .supplies
+                .iter()
+                .map(|group| CachedEval::new(ctxs[group.lead].eval.as_ref()))
+                .collect()
+        })
+        .collect();
     let mut lo = 0;
     while lo < seeds.len() {
         let hi = (lo + batch).min(seeds.len());
@@ -311,7 +327,7 @@ fn fold_matrix_chunk(
             record_phase(Phase::SharedDraw, t0.elapsed().as_nanos() as u64);
         }
 
-        for corner in &groups.corners {
+        for (corner, memos) in groups.corners.iter().zip(&memos) {
             let cctx = &ctxs[corner.lead];
             let t0 = Instant::now();
             scratch.settle_words(cctx);
@@ -343,21 +359,17 @@ fn fold_matrix_chunk(
                 record_phase(Phase::FaultWalk, t0.elapsed().as_nanos() as u64);
             }
 
-            for group in &corner.supplies {
+            for (group, cached) in corner.supplies.iter().zip(memos) {
                 let sctx = &ctxs[group.lead];
-                // One operating-point memo per group per sub-batch:
-                // pure memoization of the die-independent energy legs
-                // the group's lanes and fault walks share.
-                let cached = CachedEval::new(sctx.eval.as_ref());
                 let t0 = Instant::now();
-                scratch.fixed_lane(sctx, &cached);
+                scratch.fixed_lane(sctx, cached);
                 record_phase(Phase::Fixed, t0.elapsed().as_nanos() as u64);
                 let t0 = Instant::now();
-                scratch.adaptive_lanes(sctx, &cached);
+                scratch.adaptive_lanes(sctx, cached);
                 record_phase(Phase::AdaptiveLanes, t0.elapsed().as_nanos() as u64);
                 let t0 = Instant::now();
-                scratch.dither_check(sctx, &cached);
-                record_phase(Phase::Dither, t0.elapsed().as_nanos() as u64);
+                scratch.dither_check(sctx, cached);
+                record_phase(Phase::DitherCheck, t0.elapsed().as_nanos() as u64);
 
                 for &ci in &group.members {
                     match (cells[ci].faults, &mut accs[ci]) {
@@ -385,7 +397,7 @@ fn fold_matrix_chunk(
                                         droops[ci],
                                     )
                                 });
-                                acc.absorb(&score_trajectory(sctx, &cached, &clean, &path));
+                                acc.absorb(&score_trajectory(sctx, cached, &clean, &path));
                             }
                             record_phase(Phase::FaultWalk, t0.elapsed().as_nanos() as u64);
                         }

@@ -1,12 +1,12 @@
 //! Per-phase wall-time accounting for the batched fleet hot path.
 //!
 //! The study engine ([`crate::matrix`], over the SoA scorer in
-//! [`crate::batch`]) runs five phases per sub-batch — die draw,
+//! [`crate::batch`]) runs six phases per sub-batch — die draw,
 //! fixed-design lane, adaptive word settle, adaptive cohort lanes,
-//! dither settle — plus, when a fault cell exists, the fault-stream
-//! seed replay with the schedule draw, and the faulted walks; the SIMD
-//! work lands
-//! unevenly across them. These counters attribute the wall time so a
+//! dither settle walk, dithered check — plus, when a fault cell
+//! exists, the fault-stream seed replay with the schedule draw, and
+//! the faulted walks; the SIMD work lands unevenly across them.
+//! These counters attribute the wall time so a
 //! speed-up claim can name the phase it came from, the same way
 //! `subvt-device`'s [`subvt_device::tabulate`] metrics attribute the
 //! evaluation counts.
@@ -25,11 +25,12 @@ static FIXED_NANOS: AtomicU64 = AtomicU64::new(0);
 static SETTLE_WORD_NANOS: AtomicU64 = AtomicU64::new(0);
 static ADAPTIVE_LANE_NANOS: AtomicU64 = AtomicU64::new(0);
 static DITHER_NANOS: AtomicU64 = AtomicU64::new(0);
+static DITHER_CHECK_NANOS: AtomicU64 = AtomicU64::new(0);
 static SHARED_DRAW_NANOS: AtomicU64 = AtomicU64::new(0);
 static FAULT_WALK_NANOS: AtomicU64 = AtomicU64::new(0);
 static SUB_BATCHES: AtomicU64 = AtomicU64::new(0);
 
-/// The phases of the batched scoring pipeline. The first five run on
+/// The phases of the batched scoring pipeline. The first six run on
 /// every study; the last two run only when the study has a fault cell
 /// (a standalone fault study is one): the per-die fault-stream seed
 /// replay and schedule draw every fault cell shares (`SharedDraw`) and
@@ -44,8 +45,10 @@ pub enum Phase {
     SettleWord,
     /// Per-settled-word adaptive cohort spec lanes.
     AdaptiveLanes,
-    /// Sub-LSB dither settle and dithered spec check.
+    /// Sub-LSB dither settle (the lockstep walk).
     Dither,
+    /// Dithered spec check at each die's settled voltage.
+    DitherCheck,
     /// Per-die fault-stream seed replay and 24-cycle schedule draw
     /// (once per set of fault rates), shared by every fault cell;
     /// timed only when a fault cell exists.
@@ -64,6 +67,7 @@ pub(crate) fn record_phase(phase: Phase, nanos: u64) {
         Phase::SettleWord => &SETTLE_WORD_NANOS,
         Phase::AdaptiveLanes => &ADAPTIVE_LANE_NANOS,
         Phase::Dither => &DITHER_NANOS,
+        Phase::DitherCheck => &DITHER_CHECK_NANOS,
         Phase::SharedDraw => &SHARED_DRAW_NANOS,
         Phase::FaultWalk => &FAULT_WALK_NANOS,
     };
@@ -86,8 +90,10 @@ pub struct PhaseProfile {
     pub settle_word_nanos: u64,
     /// Nanoseconds in the adaptive cohort lanes.
     pub adaptive_lane_nanos: u64,
-    /// Nanoseconds in the dither settle + dithered spec check.
+    /// Nanoseconds in the dither settle walk.
     pub dither_nanos: u64,
+    /// Nanoseconds in the dithered spec check.
+    pub dither_check_nanos: u64,
     /// Nanoseconds in the fault-stream seed replay (fault cells only).
     pub shared_draw_nanos: u64,
     /// Nanoseconds in the per-fault-cell walks.
@@ -105,6 +111,7 @@ impl PhaseProfile {
             settle_word_nanos: SETTLE_WORD_NANOS.load(Ordering::Relaxed),
             adaptive_lane_nanos: ADAPTIVE_LANE_NANOS.load(Ordering::Relaxed),
             dither_nanos: DITHER_NANOS.load(Ordering::Relaxed),
+            dither_check_nanos: DITHER_CHECK_NANOS.load(Ordering::Relaxed),
             shared_draw_nanos: SHARED_DRAW_NANOS.load(Ordering::Relaxed),
             fault_walk_nanos: FAULT_WALK_NANOS.load(Ordering::Relaxed),
             sub_batches: SUB_BATCHES.load(Ordering::Relaxed),
@@ -118,6 +125,7 @@ impl PhaseProfile {
         SETTLE_WORD_NANOS.store(0, Ordering::Relaxed);
         ADAPTIVE_LANE_NANOS.store(0, Ordering::Relaxed);
         DITHER_NANOS.store(0, Ordering::Relaxed);
+        DITHER_CHECK_NANOS.store(0, Ordering::Relaxed);
         SHARED_DRAW_NANOS.store(0, Ordering::Relaxed);
         FAULT_WALK_NANOS.store(0, Ordering::Relaxed);
         SUB_BATCHES.store(0, Ordering::Relaxed);
@@ -136,6 +144,9 @@ impl PhaseProfile {
                 .adaptive_lane_nanos
                 .saturating_sub(earlier.adaptive_lane_nanos),
             dither_nanos: self.dither_nanos.saturating_sub(earlier.dither_nanos),
+            dither_check_nanos: self
+                .dither_check_nanos
+                .saturating_sub(earlier.dither_check_nanos),
             shared_draw_nanos: self
                 .shared_draw_nanos
                 .saturating_sub(earlier.shared_draw_nanos),
@@ -153,19 +164,21 @@ impl PhaseProfile {
             + self.settle_word_nanos
             + self.adaptive_lane_nanos
             + self.dither_nanos
+            + self.dither_check_nanos
             + self.shared_draw_nanos
             + self.fault_walk_nanos
     }
 
     /// `(label, nanos)` per phase in execution order — the iteration
     /// shape report printers want. The fault-cell phases come last.
-    pub fn phases(&self) -> [(&'static str, u64); 7] {
+    pub fn phases(&self) -> [(&'static str, u64); 8] {
         [
             ("draw", self.draw_nanos),
             ("fixed lane", self.fixed_nanos),
             ("word settle", self.settle_word_nanos),
             ("adaptive lanes", self.adaptive_lane_nanos),
             ("dither settle", self.dither_nanos),
+            ("dither check", self.dither_check_nanos),
             ("shared draw", self.shared_draw_nanos),
             ("fault walk", self.fault_walk_nanos),
         ]
@@ -227,6 +240,7 @@ mod tests {
         record_phase(Phase::SettleWord, 300);
         record_phase(Phase::AdaptiveLanes, 400);
         record_phase(Phase::Dither, 500);
+        record_phase(Phase::DitherCheck, 600);
         record_sub_batch();
         let delta = PhaseProfile::snapshot().since(&before);
         // Other tests in the process may run studies concurrently, so
@@ -236,8 +250,9 @@ mod tests {
         assert!(delta.settle_word_nanos >= 300);
         assert!(delta.adaptive_lane_nanos >= 400);
         assert!(delta.dither_nanos >= 500);
+        assert!(delta.dither_check_nanos >= 600);
         assert!(delta.sub_batches >= 1);
-        assert!(delta.total_nanos() >= 1500);
+        assert!(delta.total_nanos() >= 2100);
     }
 
     #[test]
@@ -259,6 +274,7 @@ mod tests {
             "\"word_settle_nanos\":",
             "\"adaptive_lanes_nanos\":",
             "\"dither_settle_nanos\":",
+            "\"dither_check_nanos\":",
             "\"shared_draw_nanos\":",
             "\"fault_walk_nanos\":",
             "\"sub_batches\":",

@@ -720,8 +720,8 @@ pub const STUDY_HELP: &str = "\
                       stop (checkpointed) once N dies have been scored
     --profile-phases  print per-phase wall time of the batched hot path
                       (draw / fixed lane / word settle / adaptive lanes /
-                      dither settle, plus shared draw / fault walk when
-                      faults are armed) after the run
+                      dither settle / dither check, plus shared draw /
+                      fault walk when faults are armed) after the run
     --profile-phases-json F
                       write the per-phase profile as JSON to F after the run";
 

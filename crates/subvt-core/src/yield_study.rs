@@ -20,7 +20,7 @@ use subvt_device::delay::GateMismatch;
 use subvt_device::mosfet::Environment;
 use subvt_device::tabulate::{AnalyticEval, CachedEval, DeviceEval, SharedEval};
 use subvt_device::technology::Technology;
-use subvt_device::units::{Hertz, Joules, Volts};
+use subvt_device::units::{Hertz, Joules, Seconds, Volts};
 use subvt_device::variation::VariationModel;
 use subvt_digital::lut::VoltageWord;
 use subvt_loads::load::CircuitLoad;
@@ -429,15 +429,43 @@ impl<'a> StudyContext<'a> {
             .max_rate_with(rate_eval, v_rate, self.env, die)
             .map(|r| r.value() >= self.spec.min_rate.value())
             .unwrap_or(false);
-        let energy = self
-            .load
-            .energy_per_op_with(energy_eval, v_energy, self.env)
+        let energy = self.energy_at(energy_eval, v_energy);
+        (rate_ok && self.meets_energy(energy), energy)
+    }
+
+    /// Energy per op at `v` through `eval`; infinite below the floor,
+    /// so it fails any energy spec.
+    pub(crate) fn energy_at(&self, eval: &dyn DeviceEval, v: Volts) -> Joules {
+        self.load
+            .energy_per_op_with(eval, v, self.env)
             .map(|e| e.total())
-            .unwrap_or(Joules(f64::INFINITY));
-        (
-            rate_ok && energy.value() <= self.spec.max_energy_per_op.value(),
-            energy,
-        )
+            .unwrap_or(Joules(f64::INFINITY))
+    }
+
+    /// Does energy per op `energy` meet the spec?
+    pub(crate) fn meets_energy(&self, energy: Joules) -> bool {
+        energy.value() <= self.spec.max_energy_per_op.value()
+    }
+
+    /// Does a critical path of `t` meet the rate spec?
+    pub(crate) fn meets_rate(&self, t: Seconds) -> bool {
+        t.to_frequency().value() >= self.spec.min_rate.value()
+    }
+
+    /// The (rate, energy) evaluation voltages of a commanded word: the
+    /// ripple trough and the cycle mean on a regulated supply, the
+    /// exact word voltage on an ideal rail.
+    pub(crate) fn word_point(&self, word: VoltageWord) -> (Volts, Volts) {
+        match self.supply {
+            SupplySim::Ideal => {
+                let v = word_voltage(word);
+                (v, v)
+            }
+            SupplySim::Regulated(model) => {
+                let op = model.point(word);
+                (op.v_min, op.v_mean)
+            }
+        }
     }
 
     /// Spec check at a commanded word's operating point.
@@ -448,30 +476,17 @@ impl<'a> StudyContext<'a> {
         word: VoltageWord,
         die: GateMismatch,
     ) -> (bool, Joules) {
-        match self.supply {
-            SupplySim::Ideal => {
-                let v = word_voltage(word);
-                self.passes_at(rate_eval, energy_eval, v, v, die)
-            }
-            SupplySim::Regulated(model) => {
-                let op = model.point(word);
-                self.passes_at(rate_eval, energy_eval, op.v_min, op.v_mean, die)
-            }
-        }
+        let (v_rate, v_energy) = self.word_point(word);
+        self.passes_at(rate_eval, energy_eval, v_rate, v_energy, die)
     }
 
-    /// Scores the dithered design's continuous settled voltage. On a
-    /// regulated supply the dither rides on the nearest word's settled
-    /// waveform, so it inherits that word's droop and ripple trough.
-    pub(crate) fn passes_dithered(
-        &self,
-        rate_eval: &dyn DeviceEval,
-        energy_eval: &dyn DeviceEval,
-        v: Volts,
-        die: GateMismatch,
-    ) -> (bool, Joules) {
+    /// The (rate, energy) evaluation voltages of the dithered design's
+    /// continuous settled voltage `v`. On a regulated supply the dither
+    /// rides on the nearest word's settled waveform, so it inherits
+    /// that word's droop and ripple trough.
+    pub(crate) fn dithered_point(&self, v: Volts) -> (Volts, Volts) {
         match self.supply {
-            SupplySim::Ideal => self.passes_at(rate_eval, energy_eval, v, v, die),
+            SupplySim::Ideal => (v, v),
             SupplySim::Regulated(model) => {
                 let lsb = DCDC_LSB.volts();
                 let nearest = ((v.volts() / lsb).round() as i64).clamp(1, 63) as VoltageWord;
@@ -480,9 +495,22 @@ impl<'a> StudyContext<'a> {
                 let trough = op.v_mean.volts() - op.v_min.volts();
                 let v_mean = Volts(v.volts() + droop);
                 let v_rate = Volts(v_mean.volts() - trough);
-                self.passes_at(rate_eval, energy_eval, v_rate, v_mean, die)
+                (v_rate, v_mean)
             }
         }
+    }
+
+    /// Scores the dithered design's continuous settled voltage at its
+    /// [`StudyContext::dithered_point`].
+    pub(crate) fn passes_dithered(
+        &self,
+        rate_eval: &dyn DeviceEval,
+        energy_eval: &dyn DeviceEval,
+        v: Volts,
+        die: GateMismatch,
+    ) -> (bool, Joules) {
+        let (v_rate, v_energy) = self.dithered_point(v);
+        self.passes_at(rate_eval, energy_eval, v_rate, v_energy, die)
     }
 
     /// Scores one die from its pre-forked stream — a pure function of

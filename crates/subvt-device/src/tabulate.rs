@@ -402,20 +402,47 @@ pub trait DeviceEval: fmt::Debug + Send + Sync {
         fanout: f64,
         out: &mut [Option<(Seconds, Seconds)>],
     ) {
-        assert_eq!(
-            vdds.len(),
-            mismatches.len(),
-            "supply lane length must match the mismatch lane"
-        );
-        assert_eq!(
-            vdds.len(),
-            out.len(),
-            "lane output length must match the supply lane"
-        );
+        assert_multi_lanes(vdds.len(), mismatches.len(), out.len());
         for ((v, m), o) in vdds.iter().zip(mismatches).zip(out.iter_mut()) {
             *o = self.gate_delay_pair(kinds, *v, env, *m, fanout).ok();
         }
     }
+
+    /// Delays of one gate kind with a *per-die* supply voltage — the
+    /// dithered spec check's shape, where every die is checked at its
+    /// own settled supply. `out[i]` is `None` exactly when die `i`'s
+    /// supply is below the technology floor, as in
+    /// [`DeviceEval::gate_delay_pair_multi`].
+    ///
+    /// The default is the scalar loop, bit-identical to calling
+    /// [`DeviceEval::gate_delay`] per die.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `vdds`, `mismatches` and `out` lengths differ.
+    fn gate_delay_multi(
+        &self,
+        kind: GateKind,
+        vdds: &[Volts],
+        env: Environment,
+        mismatches: &[GateMismatch],
+        fanout: f64,
+        out: &mut [Option<Seconds>],
+    ) {
+        assert_multi_lanes(vdds.len(), mismatches.len(), out.len());
+        for ((v, m), o) in vdds.iter().zip(mismatches).zip(out.iter_mut()) {
+            *o = self.gate_delay(kind, *v, env, *m, fanout).ok();
+        }
+    }
+}
+
+/// The length contract of the per-die-supply kernels.
+fn assert_multi_lanes(vdds: usize, mismatches: usize, out: usize) {
+    assert_eq!(
+        vdds, mismatches,
+        "supply lane length must match the mismatch lane"
+    );
+    assert_eq!(vdds, out, "lane output length must match the supply lane");
 }
 
 /// A shareable, thread-safe evaluator handle.
@@ -529,13 +556,31 @@ struct KindFactors {
 
 impl KindFactors {
     fn new(tech: &Technology, kind: GateKind, vdd: Volts, fanout: f64) -> KindFactors {
+        let per_volt = KindFactors::per_volt(tech, kind, fanout);
+        KindFactors {
+            charge: per_volt.charge * vdd.volts(),
+            ..per_volt
+        }
+    }
+
+    /// The factors with the supply left out of the charge, for lanes
+    /// where every die has its own supply ([`KindFactors::delay_at`]).
+    fn per_volt(tech: &Technology, kind: GateKind, fanout: f64) -> KindFactors {
         let cap = tech.gate_cap.value() * kind.cap_factor() * fanout.max(0.0);
         let (n_stack, p_stack) = kind.stack_factors();
         KindFactors {
-            charge: tech.delay_fit * cap * vdd.volts(),
+            charge: tech.delay_fit * cap,
             n_stack,
             p_stack,
         }
+    }
+
+    /// One die's delay at its own supply `v`, from
+    /// [`KindFactors::per_volt`] factors.
+    #[inline]
+    fn delay_at(&self, v: f64, i_on_n: f64, i_on_p: f64) -> Seconds {
+        let charge = self.charge * v;
+        Seconds(0.5 * (charge / (i_on_n * self.n_stack) + charge / (i_on_p * self.p_stack)))
     }
 
     /// The delay for one die's on-currents.
@@ -554,6 +599,66 @@ impl KindFactors {
         let t_fall = F64x4::splat(self.charge) / (i_on_n * F64x4::splat(self.n_stack));
         let t_rise = F64x4::splat(self.charge) / (i_on_p * F64x4::splat(self.p_stack));
         F64x4::splat(0.5) * (t_fall + t_rise)
+    }
+}
+
+/// The die-independent terms of the on-current pair when every die has
+/// its *own* supply — the hoist both per-die-supply kernels share. The
+/// DIBL and saturation terms are per-die, but the temperature-only
+/// terms (the `powf` of the specific current, the tempco/corner
+/// threshold terms, the softplus scale) come out, and they dominate
+/// the die-independent cost. [`PerDieSupply::currents`] mirrors
+/// [`MosfetParams::drain_current`] term for term, so every result is
+/// bit-identical to the scalar call.
+struct PerDieSupply<'t> {
+    tech: &'t Technology,
+    ut: f64,
+    spec_n: f64,
+    spec_p: f64,
+    /// The threshold terms that do not depend on the supply.
+    vth_n0: f64,
+    vth_p0: f64,
+    denom_n: f64,
+    denom_p: f64,
+}
+
+impl<'t> PerDieSupply<'t> {
+    fn new(tech: &'t Technology, env: Environment) -> PerDieSupply<'t> {
+        let ut = thermal_voltage(env.temperature).volts();
+        let dt = env.temperature.value() - nominal_temperature().value();
+        let (nmos, pmos) = (&tech.nmos, &tech.pmos);
+        let vth0 = |p: &MosfetParams| {
+            p.vth0.volts() + p.device.corner_vth_shift(env.corner).volts() + p.vth_tempco * dt
+        };
+        PerDieSupply {
+            tech,
+            ut,
+            spec_n: nmos.spec_current_at(env.temperature).value(),
+            spec_p: pmos.spec_current_at(env.temperature).value(),
+            vth_n0: vth0(nmos),
+            vth_p0: vth0(pmos),
+            denom_n: 2.0 * nmos.slope_factor * ut,
+            denom_p: 2.0 * pmos.slope_factor * ut,
+        }
+    }
+
+    /// One die's (nMOS, pMOS) on-currents at its supply `v`, or `None`
+    /// below the technology floor.
+    #[inline]
+    fn currents(&self, vdd: Volts, mismatch: GateMismatch) -> Option<(f64, f64)> {
+        if !self.tech.is_operational(vdd) {
+            return None;
+        }
+        let v = vdd.volts();
+        let sat = 1.0 - (-v.abs() / self.ut).exp();
+        let vth_n = self.vth_n0 - self.tech.nmos.dibl * v.abs() + mismatch.nmos_dvth.volts();
+        let vth_p = self.vth_p0 - self.tech.pmos.dibl * v.abs() + mismatch.pmos_dvth.volts();
+        let soft_n = softplus((v - vth_n) / self.denom_n);
+        let soft_p = softplus((v - vth_p) / self.denom_p);
+        Some((
+            self.spec_n * soft_n * soft_n * sat,
+            self.spec_p * soft_p * soft_p * sat,
+        ))
     }
 }
 
@@ -714,62 +819,41 @@ impl DeviceEval for AnalyticEval {
         fanout: f64,
         out: &mut [Option<(Seconds, Seconds)>],
     ) {
-        assert_eq!(
-            vdds.len(),
-            mismatches.len(),
-            "supply lane length must match the mismatch lane"
-        );
-        assert_eq!(
-            vdds.len(),
-            out.len(),
-            "lane output length must match the supply lane"
-        );
-        // With a per-die supply the DIBL and saturation terms are
-        // per-die too, so the loop stays scalar — but the
-        // temperature-only hoists (the `powf` of the specific current,
-        // the tempco/corner threshold terms, the softplus scale) still
-        // come out, and they dominate the die-independent cost.
-        let ut = thermal_voltage(env.temperature).volts();
-        let dt = env.temperature.value() - nominal_temperature().value();
-        let nmos = &self.tech.nmos;
-        let pmos = &self.tech.pmos;
-        let spec_n = nmos.spec_current_at(env.temperature).value();
-        let spec_p = pmos.spec_current_at(env.temperature).value();
-        let vth_n0 = nmos.vth0.volts()
-            + nmos.device.corner_vth_shift(env.corner).volts()
-            + nmos.vth_tempco * dt;
-        let vth_p0 = pmos.vth0.volts()
-            + pmos.device.corner_vth_shift(env.corner).volts()
-            + pmos.vth_tempco * dt;
-        let denom_n = 2.0 * nmos.slope_factor * ut;
-        let denom_p = 2.0 * pmos.slope_factor * ut;
-        let cap_a = self.tech.gate_cap.value() * kinds.0.cap_factor() * fanout.max(0.0);
-        let cap_b = self.tech.gate_cap.value() * kinds.1.cap_factor() * fanout.max(0.0);
-        let dc_a = self.tech.delay_fit * cap_a;
-        let dc_b = self.tech.delay_fit * cap_b;
-        let (na, pa) = kinds.0.stack_factors();
-        let (nb, pb) = kinds.1.stack_factors();
+        assert_multi_lanes(vdds.len(), mismatches.len(), out.len());
+        let hoist = PerDieSupply::new(&self.tech, env);
+        let ka = KindFactors::per_volt(&self.tech, kinds.0, fanout);
+        let kb = KindFactors::per_volt(&self.tech, kinds.1, fanout);
         let mut evals = 0u64;
-        for i in 0..vdds.len() {
-            let vdd = vdds[i];
-            if !self.tech.is_operational(vdd) {
-                out[i] = None;
-                continue;
-            }
-            evals += 2;
-            let v = vdd.volts();
-            let sat = 1.0 - (-v.abs() / ut).exp();
-            let vth_n = vth_n0 - nmos.dibl * v.abs() + mismatches[i].nmos_dvth.volts();
-            let vth_p = vth_p0 - pmos.dibl * v.abs() + mismatches[i].pmos_dvth.volts();
-            let soft_n = softplus((v - vth_n) / denom_n);
-            let soft_p = softplus((v - vth_p) / denom_p);
-            let i_n = spec_n * soft_n * soft_n * sat;
-            let i_p = spec_p * soft_p * soft_p * sat;
-            let ca = dc_a * v;
-            let cb = dc_b * v;
-            let d_a = Seconds(0.5 * (ca / (i_n * na) + ca / (i_p * pa)));
-            let d_b = Seconds(0.5 * (cb / (i_n * nb) + cb / (i_p * pb)));
-            out[i] = Some((d_a, d_b));
+        for ((vdd, m), o) in vdds.iter().zip(mismatches).zip(out.iter_mut()) {
+            *o = hoist.currents(*vdd, *m).map(|(i_n, i_p)| {
+                evals += 2;
+                let v = vdd.volts();
+                (ka.delay_at(v, i_n, i_p), kb.delay_at(v, i_n, i_p))
+            });
+        }
+        metrics::record_analytic_delays(evals);
+    }
+
+    fn gate_delay_multi(
+        &self,
+        kind: GateKind,
+        vdds: &[Volts],
+        env: Environment,
+        mismatches: &[GateMismatch],
+        fanout: f64,
+        out: &mut [Option<Seconds>],
+    ) {
+        assert_multi_lanes(vdds.len(), mismatches.len(), out.len());
+        // The pair kernel's hoist, one kind priced per die: each die
+        // counts one delay, as a `gate_delay` call does.
+        let hoist = PerDieSupply::new(&self.tech, env);
+        let k = KindFactors::per_volt(&self.tech, kind, fanout);
+        let mut evals = 0u64;
+        for ((vdd, m), o) in vdds.iter().zip(mismatches).zip(out.iter_mut()) {
+            *o = hoist.currents(*vdd, *m).map(|(i_n, i_p)| {
+                evals += 1;
+                k.delay_at(vdd.volts(), i_n, i_p)
+            });
         }
         metrics::record_analytic_delays(evals);
     }
@@ -1754,12 +1838,15 @@ mod tests {
     fn gate_delay_pair_multi_matches_scalar_with_per_die_floor() {
         let tech = tech();
         let evals: [&dyn DeviceEval; 2] = [&AnalyticEval::new(&tech), &TabulatedEval::new(&tech)];
+        let floor = tech.min_vdd.volts();
         let vdds = [
             Volts(0.231),
             Volts(0.05), // below the functional floor → None
             Volts(0.35),
             Volts(0.2985),
             Volts(1.18),
+            Volts(floor), // on the floor: still operational
+            Volts(floor - 1e-9),
         ];
         let mms = [
             GateMismatch::NOMINAL,
@@ -1776,8 +1863,34 @@ mod tests {
                 pmos_dvth: Volts(0.004),
             },
             GateMismatch::NOMINAL,
+            GateMismatch {
+                nmos_dvth: Volts(0.002),
+                pmos_dvth: Volts(0.011),
+            },
+            GateMismatch::NOMINAL,
         ];
         for eval in evals {
+            // The single-kind kernel (the dithered check's rate leg)
+            // against one `gate_delay` call per die, for every kind.
+            for kind in [GateKind::Inverter, GateKind::Nand2, GateKind::Nor2] {
+                for env in [
+                    Environment::nominal(),
+                    Environment::at_corner(ProcessCorner::Ss).with_celsius(85.0),
+                ] {
+                    let mut out = vec![None; vdds.len()];
+                    eval.gate_delay_multi(kind, &vdds, env, &mms, 1.0, &mut out);
+                    for i in 0..vdds.len() {
+                        let want = eval.gate_delay(kind, vdds[i], env, mms[i], 1.0).ok();
+                        assert_eq!(
+                            out[i].map(|t| t.value().to_bits()),
+                            want.map(|t| t.value().to_bits()),
+                            "{eval:?} {kind:?} die {i}"
+                        );
+                    }
+                    assert!(out[1].is_none() && out[6].is_none() && out[5].is_some());
+                }
+            }
+
             for env in [
                 Environment::nominal(),
                 Environment::at_corner(ProcessCorner::Sf).with_celsius(-10.0),

@@ -148,6 +148,40 @@ pub trait CircuitLoad: std::fmt::Debug + Send + Sync {
         Ok(())
     }
 
+    /// Critical-path delays for a lane of dies each at its *own*
+    /// supply — the dithered spec check's shape. `out[i]` is `None`
+    /// exactly when die `i`'s supply is below the technology floor.
+    /// The default loops [`CircuitLoad::critical_path_with`],
+    /// bit-identical to per-die calls; gate-level implementors should
+    /// forward to [`DeviceEval::gate_delay_multi`] so the device
+    /// model's per-die-supply hoist applies.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `vdds`, `mismatches` and `out` lengths differ.
+    fn critical_path_multi(
+        &self,
+        eval: &dyn DeviceEval,
+        vdds: &[Volts],
+        env: Environment,
+        mismatches: &[GateMismatch],
+        out: &mut [Option<Seconds>],
+    ) {
+        assert_eq!(
+            vdds.len(),
+            mismatches.len(),
+            "supply lane length must match the mismatch lane"
+        );
+        assert_eq!(
+            vdds.len(),
+            out.len(),
+            "lane output length must match the supply lane"
+        );
+        for ((v, m), o) in vdds.iter().zip(mismatches).zip(out.iter_mut()) {
+            *o = self.critical_path_with(eval, *v, env, *m).ok();
+        }
+    }
+
     /// Average supply current while operating continuously at `vdd`:
     /// dynamic charge per cycle over the cycle time, plus leakage.
     ///

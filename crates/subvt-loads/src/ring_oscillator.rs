@@ -173,6 +173,21 @@ impl CircuitLoad for RingOscillator {
         }
         Ok(())
     }
+
+    fn critical_path_multi(
+        &self,
+        eval: &dyn subvt_device::tabulate::DeviceEval,
+        vdds: &[Volts],
+        env: Environment,
+        mismatches: &[GateMismatch],
+        out: &mut [Option<Seconds>],
+    ) {
+        // One NAND delay per die at its own supply, then `t × depth`.
+        eval.gate_delay_multi(GateKind::Nand2, vdds, env, mismatches, 1.0, out);
+        for t in out.iter_mut().flatten() {
+            *t = *t * self.profile.depth;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -316,6 +331,43 @@ mod tests {
             let e_rel = (e_table.total().value() - e_direct.total().value()).abs()
                 / e_direct.total().value();
             assert!(e_rel < ACCURACY_BUDGET, "{v:?}: energy rel err {e_rel:.2e}");
+        }
+    }
+
+    #[test]
+    fn critical_path_multi_matches_per_die_calls() {
+        use subvt_device::tabulate::{AnalyticEval, TabulatedEval};
+        let (tech, ring) = fixture();
+        let adder = crate::adder::RippleCarryAdder::new(8);
+        let analytic = AnalyticEval::new(&tech);
+        let tabulated = TabulatedEval::new(&tech);
+        let vdds = [Volts(0.231), Volts(0.01), Volts(0.35), Volts(0.2068)];
+        let mms: Vec<GateMismatch> = [0.0, 0.013, -0.009, 0.021]
+            .iter()
+            .map(|&d| GateMismatch {
+                nmos_dvth: Volts(d),
+                pmos_dvth: Volts(-d),
+            })
+            .collect();
+        let loads: [&dyn CircuitLoad; 2] = [&ring, &adder];
+        let evals: [&dyn subvt_device::tabulate::DeviceEval; 2] = [&analytic, &tabulated];
+        for load in loads {
+            for eval in evals {
+                for env in [Environment::nominal(), Environment::at_celsius(85.0)] {
+                    let mut out = vec![None; vdds.len()];
+                    load.critical_path_multi(eval, &vdds, env, &mms, &mut out);
+                    for i in 0..vdds.len() {
+                        let want = load.critical_path_with(eval, vdds[i], env, mms[i]).ok();
+                        assert_eq!(
+                            out[i].map(|t| t.value().to_bits()),
+                            want.map(|t| t.value().to_bits()),
+                            "{} die {i}",
+                            load.name()
+                        );
+                    }
+                    assert!(out[1].is_none(), "below the floor");
+                }
+            }
         }
     }
 

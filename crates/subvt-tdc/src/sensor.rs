@@ -15,6 +15,7 @@
 //! (18.75 mV units).
 
 use std::fmt;
+use std::sync::Arc;
 
 use subvt_device::constants::DCDC_LSB;
 use subvt_device::delay::GateMismatch;
@@ -91,15 +92,94 @@ struct BandTable {
     /// `(offset_lsb, expected_code)` at the design environment, for
     /// offsets where the code is cleanly decodable.
     neighbors: Vec<(i16, u32)>,
+    /// Per code `0..=stages`: the integer signature the neighbour scan
+    /// ([`BandTable::scan_lsb`]) returns.
+    lsb: Vec<i16>,
+    /// Per code `0..=stages`: the fractional signature the neighbour
+    /// scan ([`BandTable::scan_fractional`]) returns.
+    frac: Vec<f64>,
+}
+
+impl BandTable {
+    /// A band over its neighbour codes, with the decode tables filled
+    /// by the neighbour scan for every code the line can encode.
+    fn new(quantizer: Quantizer, neighbors: Vec<(i16, u32)>, stages: u8) -> BandTable {
+        let mut band = BandTable {
+            quantizer,
+            neighbors,
+            lsb: Vec::new(),
+            frac: Vec::new(),
+        };
+        let codes = 0..=u32::from(stages);
+        band.lsb = codes.clone().map(|c| band.scan_lsb(c)).collect();
+        band.frac = codes.map(|c| band.scan_fractional(c)).collect();
+        band
+    }
+
+    /// The integer signature of `code`: a table lookup, with the scan
+    /// as the fallback for codes beyond the line.
+    #[inline]
+    fn lsb(&self, code: u32) -> i16 {
+        let hit = self.lsb.get(code as usize).copied();
+        hit.unwrap_or_else(|| self.scan_lsb(code))
+    }
+
+    /// The fractional signature of `code`, as [`BandTable::lsb`].
+    #[inline]
+    fn fractional(&self, code: u32) -> f64 {
+        let hit = self.frac.get(code as usize).copied();
+        hit.unwrap_or_else(|| self.scan_fractional(code))
+    }
+
+    /// The neighbour offset `k` whose design-time code best matches
+    /// `code`, ties to the smaller `|k|`.
+    fn scan_lsb(&self, code: u32) -> i16 {
+        self.neighbors
+            .iter()
+            .min_by_key(|&&(k, c)| (c.abs_diff(code), k.unsigned_abs()))
+            .expect("usable band has neighbors")
+            .0
+    }
+
+    /// `code` linearly interpolated on the neighbour table, clamped to
+    /// its edges; between duplicate codes, the integer answer.
+    fn scan_fractional(&self, code: u32) -> f64 {
+        // Neighbours are stored in ascending k; codes ascend with k
+        // (higher voltage → faster → larger code).
+        let n = &self.neighbors;
+        let c = f64::from(code);
+        // Below/above the table: clamp to the edges.
+        if c <= f64::from(n.first().expect("non-empty").1) {
+            return f64::from(n.first().expect("non-empty").0);
+        }
+        if c >= f64::from(n.last().expect("non-empty").1) {
+            return f64::from(n.last().expect("non-empty").0);
+        }
+        for pair in n.windows(2) {
+            let (k0, c0) = pair[0];
+            let (k1, c1) = pair[1];
+            let (c0, c1) = (f64::from(c0), f64::from(c1));
+            if (c0..=c1).contains(&c) && c1 > c0 {
+                let t = (c - c0) / (c1 - c0);
+                return f64::from(k0) + t * f64::from(k1 - k0);
+            }
+        }
+        // Fallback (duplicate codes): integer answer.
+        f64::from(self.scan_lsb(code))
+    }
 }
 
 /// The calibrated TDC variation sensor.
+///
+/// The calibrated bands sit behind an [`Arc`]: they never change after
+/// calibration, so a clone (one per compensated controller run) shares
+/// them instead of copying the decode tables.
 #[derive(Debug, Clone, PartialEq)]
 pub struct VariationSensor {
     config: SensorConfig,
     design_env: Environment,
     line: DelayLine,
-    bands: Vec<Option<BandTable>>,
+    bands: Arc<[Option<BandTable>]>,
 }
 
 /// Voltage of a 6-bit DC-DC word: `word × 18.75 mV`.
@@ -134,10 +214,9 @@ impl VariationSensor {
         config: SensorConfig,
     ) -> VariationSensor {
         let line = DelayLine::new(config.stages, CellKind::InvNor);
-        let mut bands = Vec::with_capacity(64);
-        for word in 0u8..64 {
-            bands.push(Self::calibrate_band(eval, design_env, &line, config, word));
-        }
+        let bands = (0u8..64)
+            .map(|word| Self::calibrate_band(eval, design_env, &line, config, word))
+            .collect();
         VariationSensor {
             config,
             design_env,
@@ -174,10 +253,7 @@ impl VariationSensor {
         }
         // A usable band must at least know its own code.
         if neighbors.iter().any(|&(k, _)| k == 0) {
-            Some(BandTable {
-                quantizer,
-                neighbors,
-            })
+            Some(BandTable::new(quantizer, neighbors, config.stages))
         } else {
             None
         }
@@ -336,51 +412,28 @@ impl VariationSensor {
     /// behaves like the design corner at a lower voltage); the
     /// compensation loop applies the opposite shift.
     ///
+    /// Calibration tabulates the answer for every code the line can
+    /// encode, so this is one lookup; the neighbour scan answers only
+    /// codes beyond the line.
+    ///
     /// # Errors
     ///
     /// [`SenseError::BandUnusable`] for uncalibrated bands.
     pub fn deviation_lsb(&self, word: VoltageWord, code: u32) -> Result<i16, SenseError> {
-        let band = self.band(word)?;
-        let best = band
-            .neighbors
-            .iter()
-            .min_by_key(|&&(k, c)| (c.abs_diff(code), k.unsigned_abs()))
-            .expect("usable band has neighbors");
-        Ok(best.0)
+        Ok(self.band(word)?.lsb(code))
     }
 
     /// Fractional variant of [`VariationSensor::deviation_lsb`]:
     /// linearly interpolates the measured code on the (monotone)
     /// neighbour table, resolving variation *below* one 18.75 mV LSB.
     /// This is what enables sub-LSB compensation by supply dithering.
+    /// Tabulated per code, like the integer signature.
     ///
     /// # Errors
     ///
     /// [`SenseError::BandUnusable`] for uncalibrated bands.
     pub fn deviation_fractional(&self, word: VoltageWord, code: u32) -> Result<f64, SenseError> {
-        let band = self.band(word)?;
-        // Neighbours are stored in ascending k; codes ascend with k
-        // (higher voltage → faster → larger code).
-        let n = &band.neighbors;
-        let c = f64::from(code);
-        // Below/above the table: clamp to the edges.
-        if c <= f64::from(n.first().expect("non-empty").1) {
-            return Ok(f64::from(n.first().expect("non-empty").0));
-        }
-        if c >= f64::from(n.last().expect("non-empty").1) {
-            return Ok(f64::from(n.last().expect("non-empty").0));
-        }
-        for pair in n.windows(2) {
-            let (k0, c0) = pair[0];
-            let (k1, c1) = pair[1];
-            let (c0, c1) = (f64::from(c0), f64::from(c1));
-            if (c0..=c1).contains(&c) && c1 > c0 {
-                let t = (c - c0) / (c1 - c0);
-                return Ok(f64::from(k0) + t * f64::from(k1 - k0));
-            }
-        }
-        // Fallback (duplicate codes): integer answer.
-        self.deviation_lsb(word, code).map(f64::from)
+        Ok(self.band(word)?.fractional(code))
     }
 
     /// Measures and converts in one step, mapping out-of-range line
@@ -1047,6 +1100,64 @@ mod tests {
                 )
                 .is_err());
         }
+    }
+
+    #[test]
+    fn decode_tables_equal_the_neighbour_scan() {
+        // Every usable band of sensors calibrated at four environments:
+        // the tables must answer every code the line encodes, and one
+        // beyond it, exactly as the scan does (f64 bits for the
+        // fractional signature).
+        let tech = Technology::st_130nm();
+        let check = |band: &BandTable, stages: u32| {
+            for code in 0..=stages + 1 {
+                assert_eq!(band.lsb(code), band.scan_lsb(code), "code {code}");
+                assert_eq!(
+                    band.fractional(code).to_bits(),
+                    band.scan_fractional(code).to_bits(),
+                    "code {code}"
+                );
+            }
+        };
+        for env in [
+            Environment::nominal(),
+            Environment::at_corner(ProcessCorner::Ss),
+            Environment::at_corner(ProcessCorner::Ff),
+            Environment::at_celsius(85.0),
+        ] {
+            let sensor = VariationSensor::new(&tech, env, SensorConfig::default());
+            let stages = u32::from(sensor.config().stages);
+            let mut usable = 0;
+            for band in sensor.bands.iter().flatten() {
+                assert_eq!(band.lsb.len(), stages as usize + 1);
+                assert_eq!(band.frac.len(), stages as usize + 1);
+                check(band, stages);
+                usable += 1;
+            }
+            assert!(usable > 40, "{usable} usable bands at {env:?}");
+        }
+        // Duplicate neighbour codes: the zero-width window is skipped,
+        // and a code on the duplicate resolves to the smaller |k|.
+        let (_, sensor) = sensor_fixture();
+        let quantizer = sensor.bands[19].as_ref().expect("usable").quantizer;
+        let band = BandTable::new(
+            quantizer,
+            vec![(-2, 20), (-1, 28), (0, 28), (1, 28), (2, 41), (3, 41)],
+            64,
+        );
+        assert_eq!(band.lsb(28), 0);
+        assert_eq!(band.fractional(28), -1.0);
+        assert_eq!(band.lsb(41), 2);
+        assert_eq!(band.fractional(41), 3.0, "clamped to the last neighbour");
+        check(&band, 64);
+    }
+
+    #[test]
+    fn a_sensor_clone_shares_its_bands() {
+        let (_, sensor) = sensor_fixture();
+        let copy = sensor.clone();
+        assert!(Arc::ptr_eq(&sensor.bands, &copy.bands));
+        assert_eq!(copy, sensor);
     }
 
     #[test]

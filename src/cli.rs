@@ -984,7 +984,8 @@ FLAGS:
                          commits); pair with --checkpoint to resume
     --profile-phases     append the batched hot path's per-phase wall
                          time (die draw, fixed lane, word settle,
-                         adaptive lanes, dither settle, plus the
+                         adaptive lanes, dither settle, dither
+                         check, plus the
                          fault-seed replay and schedule draw and
                          the fault walk when a fault cell runs)
                          to the report — pure observation, results
@@ -1155,7 +1156,13 @@ mod tests {
             .unwrap();
         assert!(profiled.starts_with(&plain), "{profiled}");
         assert!(profiled.contains("phase profile"), "{profiled}");
-        for phase in ["draw", "word settle", "dither settle", "total"] {
+        for phase in [
+            "draw",
+            "word settle",
+            "dither settle",
+            "dither check",
+            "total",
+        ] {
             assert!(profiled.contains(phase), "missing {phase}: {profiled}");
         }
     }
@@ -1437,6 +1444,8 @@ mod tests {
             "shared_draw_nanos",
             "fault_walk_nanos",
             "draw_nanos",
+            "dither_settle_nanos",
+            "dither_check_nanos",
             "total_nanos",
         ] {
             assert!(json.contains(key), "missing {key}: {json}");

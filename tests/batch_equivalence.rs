@@ -230,6 +230,39 @@ fn supply_backend_times_eval_mode_cross_product_is_bit_identical() {
 }
 
 #[test]
+fn a_chunk_memo_serves_forty_one_die_sub_batches_bit_identically() {
+    // The operating-point memo lives for a whole chunk, across every
+    // sub-batch in it. The fixtures above put at most five sub-batches
+    // in a chunk; here 2,560 dies make 40-die chunks, and batch 1 makes
+    // each chunk 40 one-die sub-batches that all share one memo.
+    const MEMO_DIES: usize = 2560;
+    assert_eq!(chunk_len(MEMO_DIES), 40, "fixture drifted");
+    for kind in [
+        subvt_core::SupplyBackendKind::Ideal,
+        subvt_core::SupplyBackendKind::Buck,
+    ] {
+        let reference = config(MEMO_DIES)
+            .supply_backend(kind)
+            .run()
+            .summarize()
+            .encode_state();
+        for jobs in [1usize, 2] {
+            let got = config(MEMO_DIES)
+                .supply_backend(kind)
+                .batch(1)
+                .exec(ExecConfig::with_jobs(jobs))
+                .run_summary();
+            assert_eq!(
+                got.encode_state(),
+                reference,
+                "{} summary diverged at batch=1 jobs={jobs}",
+                kind.label()
+            );
+        }
+    }
+}
+
+#[test]
 fn default_batch_is_sensible_and_in_effect() {
     // The default must be a real batch (not 1, not unbounded), and a
     // defaulted run must equal an explicit `.batch(DEFAULT_BATCH)`.
